@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <stdexcept>
 
 #include "src/dsp/chebyshev.h"
@@ -127,6 +128,60 @@ std::vector<double> optimize_f1(const std::vector<double>& f2,
   return f1;
 }
 
+void check_passband_edge(double fp) {
+  if (!(fp > 0.0 && fp < 0.25)) {
+    throw std::invalid_argument("design_saramaki_hbf: fp must be in (0, 0.25)");
+  }
+}
+
+/// F2 zero-phase coefficients: a half-band of length 4 n2 - 1 minus its
+/// center tap, so that F2hat ~ +0.5 on [0, fp] and -0.5 on the mirror
+/// band. Depends only on (n2, fp), not on the coefficient quantization.
+std::vector<double> design_f2(std::size_t n2, double fp) {
+  const HalfbandResult sub = design_halfband(n2, fp);
+  std::vector<double> f2(n2, 0.0);
+  const std::size_t mid = 2 * n2 - 1;
+  for (std::size_t j = 1; j <= n2; ++j) {
+    f2[j - 1] = 2.0 * sub.taps[mid + (2 * j - 1)];  // zero-phase coeff
+  }
+  return f2;
+}
+
+/// One (n1, n2, digit budget) candidate up to its adder count: quantized
+/// F2, the F1 fit against it, and the CSD encodings. The composite taps
+/// and their response (the costly part) are left to compose_and_measure.
+SaramakiHbf quantized_candidate(std::size_t n1, const std::vector<double>& f2,
+                                double fp, int frac_bits,
+                                std::size_t max_digits) {
+  SaramakiHbf out;
+  out.n1 = n1;
+  out.n2 = f2.size();
+  out.passband_edge = fp;
+  out.f2 = f2;
+  // Quantize F2 first; the F1 design below absorbs its quantization error.
+  out.f2_csd = quantize_csd(out.f2, frac_bits, max_digits);
+  // Outer taps: minimax fit of the composite stopband against the
+  // quantized subfilter's frequency warping (the half-band symmetry of the
+  // structure makes the passband mirror the stopband exactly). The fit is
+  // done in the Chebyshev basis and converted to the power-basis taps the
+  // cascade hardware actually applies.
+  out.f1 = chebyshev_to_power_basis(
+      optimize_f1(csd_values(out.f2_csd), n1, fp));
+  out.f1_csd = quantize_csd(out.f1, frac_bits, max_digits);
+  out.adder_count = saramaki_structural_adders(n1, out.n2) +
+                    dsadc::fx::total_adder_cost(out.f1_csd) +
+                    dsadc::fx::total_adder_cost(out.f2_csd);
+  return out;
+}
+
+/// Compose the quantized cascade and measure its stopband attenuation.
+void compose_and_measure(SaramakiHbf& h) {
+  h.taps = saramaki_impulse_response(csd_values(h.f1_csd),
+                                     csd_values(h.f2_csd));
+  h.stopband_atten_db =
+      dsp::min_attenuation_db(h.taps, 0.5 - h.passband_edge, 0.5);
+}
+
 }  // namespace
 
 double f2_zero_phase(const std::vector<double>& f2, double f) {
@@ -204,71 +259,53 @@ SaramakiHbf design_saramaki_hbf(std::size_t n1, std::size_t n2, double fp,
   if (n1 < 1 || n1 > 6 || n2 < 2 || n2 > 16) {
     throw std::invalid_argument("design_saramaki_hbf: unsupported (n1, n2)");
   }
-  if (!(fp > 0.0 && fp < 0.25)) {
-    throw std::invalid_argument("design_saramaki_hbf: fp must be in (0, 0.25)");
-  }
-  SaramakiHbf out;
-  out.n1 = n1;
-  out.n2 = n2;
-  out.passband_edge = fp;
-
-  // --- F2: a half-band of length 4 n2 - 1 minus its center tap, so that
-  // F2hat ~ +0.5 on [0, fp] and -0.5 on the mirror band.
-  const HalfbandResult sub = design_halfband(n2, fp);
-  out.f2.assign(n2, 0.0);
-  const std::size_t mid = 2 * n2 - 1;
-  for (std::size_t j = 1; j <= n2; ++j) {
-    out.f2[j - 1] = 2.0 * sub.taps[mid + (2 * j - 1)];  // zero-phase coeff
-  }
-  // Quantize F2 first; the F1 design below absorbs its quantization error.
-  out.f2_csd = quantize_csd(out.f2, frac_bits, max_digits);
-  const std::vector<double> f2q = csd_values(out.f2_csd);
-
-  // --- Outer taps: minimax fit of the composite stopband against the
-  // quantized subfilter's frequency warping (the half-band symmetry of the
-  // structure makes the passband mirror the stopband exactly). The fit is
-  // done in the Chebyshev basis and converted to the power-basis taps the
-  // cascade hardware actually applies.
-  out.f1 = chebyshev_to_power_basis(optimize_f1(f2q, n1, fp));
-  out.f1_csd = quantize_csd(out.f1, frac_bits, max_digits);
-  const std::vector<double> f1q = csd_values(out.f1_csd);
-
-  // --- Compose, measure.
-  out.taps = saramaki_impulse_response(f1q, f2q);
-  out.stopband_atten_db = dsp::min_attenuation_db(out.taps, 0.5 - fp, 0.5);
+  check_passband_edge(fp);
+  SaramakiHbf out =
+      quantized_candidate(n1, design_f2(n2, fp), fp, frac_bits, max_digits);
+  compose_and_measure(out);
   out.passband_ripple_db = dsp::passband_ripple_db(out.taps, 0.0, fp);
-  out.adder_count = saramaki_structural_adders(n1, n2) +
-                    dsadc::fx::total_adder_cost(out.f1_csd) +
-                    dsadc::fx::total_adder_cost(out.f2_csd);
   return out;
 }
 
 SaramakiHbf design_saramaki_hbf_auto(double fp, double atten_db,
                                      int frac_bits) {
+  DSADC_TRACE_SPAN("design_saramaki_hbf_auto", "design");
+  check_passband_edge(fp);
   // Candidate structures, ordered roughly by hardware cost; digit budgets
   // from lean to exact.
   const std::pair<std::size_t, std::size_t> structures[] = {
       {2, 4}, {2, 5}, {3, 5}, {3, 6}, {3, 7}, {4, 7}, {4, 8}, {4, 10}, {5, 12}};
   const std::size_t digit_budgets[] = {3, 4, 5, 0};
 
-  const SaramakiHbf* best = nullptr;
-  SaramakiHbf best_val;
+  // Exact branch-and-bound on the adder count. Only a candidate with
+  // strictly fewer adders than the incumbent replaces it, and a
+  // candidate's count is its structure's count plus non-negative CSD
+  // costs -- both known before the composite is built. A structure whose
+  // structural count already reaches the incumbent is skipped whole, and
+  // a candidate that cannot win skips the compose/measure sweeps. Every
+  // skipped candidate would have been rejected by the full search, so the
+  // result is the one the exhaustive scan returns.
+  std::optional<SaramakiHbf> best;
   for (const auto& [n1, n2] : structures) {
+    if (best && saramaki_structural_adders(n1, n2) >= best->adder_count) {
+      continue;
+    }
+    const std::vector<double> f2 = design_f2(n2, fp);  // digit-independent
     for (std::size_t digits : digit_budgets) {
-      SaramakiHbf cand = design_saramaki_hbf(n1, n2, fp, frac_bits, digits);
+      SaramakiHbf cand = quantized_candidate(n1, f2, fp, frac_bits, digits);
+      if (best && cand.adder_count >= best->adder_count) continue;
+      compose_and_measure(cand);
       if (cand.stopband_atten_db < atten_db) continue;
-      if (best == nullptr || cand.adder_count < best_val.adder_count) {
-        best_val = std::move(cand);
-        best = &best_val;
-      }
+      best = std::move(cand);
     }
   }
-  if (best == nullptr) {
+  if (!best) {
     throw std::runtime_error(
         "design_saramaki_hbf_auto: attenuation target unreachable with "
         "candidate structures");
   }
-  return best_val;
+  best->passband_ripple_db = dsp::passband_ripple_db(best->taps, 0.0, fp);
+  return std::move(*best);
 }
 
 }  // namespace dsadc::design

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -24,6 +25,38 @@ std::pair<double, double> legendre_eval(int n, double x) {
   }
   const double dp = n * (x * p1 - p0) / (x * x - 1.0);
   return {p1, dp};
+}
+
+/// z^-1 = e^{-j 2 pi f} at frequency f (cycles/sample).
+std::complex<double> unit_zinv(double f) {
+  const double w = 2.0 * kPi * f;
+  return {std::cos(w), -std::sin(w)};
+}
+
+/// Points of the coarse H-inf scan: f = 0.5 k / kScanPoints, k = 0..N.
+constexpr std::size_t kScanPoints = 8192;
+
+/// z^-1 on the coarse scan grid. Every H-inf evaluation walks the same
+/// grid, so the cos/sin pairs are computed once per process, with the
+/// exact expressions response_at uses.
+const std::vector<std::complex<double>>& scan_grid() {
+  static const std::vector<std::complex<double>> grid = [] {
+    std::vector<std::complex<double>> g(kScanPoints + 1);
+    for (std::size_t k = 0; k <= kScanPoints; ++k) {
+      g[k] = unit_zinv(0.5 * static_cast<double>(k) /
+                       static_cast<double>(kScanPoints));
+    }
+    return g;
+  }();
+  return grid;
+}
+
+std::complex<double> response_at_zinv(const Ntf& ntf,
+                                      std::complex<double> zinv) {
+  std::complex<double> num(1.0, 0.0), den(1.0, 0.0);
+  for (const auto& z : ntf.zeros) num *= (1.0 - z * zinv);
+  for (const auto& p : ntf.poles) den *= (1.0 - p * zinv);
+  return num / den;
 }
 
 }  // namespace
@@ -61,26 +94,21 @@ std::vector<double> Ntf::denominator() const {
 }
 
 std::complex<double> Ntf::response_at(double f) const {
-  const double w = 2.0 * kPi * f;
-  const std::complex<double> zinv(std::cos(w), -std::sin(w));
-  std::complex<double> num(1.0, 0.0), den(1.0, 0.0);
-  for (const auto& z : zeros) num *= (1.0 - z * zinv);
-  for (const auto& p : poles) den *= (1.0 - p * zinv);
-  return num / den;
+  return response_at_zinv(*this, unit_zinv(f));
 }
 
 double Ntf::magnitude_at(double f) const { return std::abs(response_at(f)); }
 
 double Ntf::infinity_norm() const {
   // Coarse sample, then local golden-section refinement around the peak.
-  const std::size_t n = 8192;
+  const std::size_t n = kScanPoints;
+  const std::vector<std::complex<double>>& grid = scan_grid();
   double best = 0.0, best_f = 0.0;
   for (std::size_t k = 0; k <= n; ++k) {
-    const double f = 0.5 * static_cast<double>(k) / static_cast<double>(n);
-    const double m = magnitude_at(f);
+    const double m = std::abs(response_at_zinv(*this, grid[k]));
     if (m > best) {
       best = m;
-      best_f = f;
+      best_f = 0.5 * static_cast<double>(k) / static_cast<double>(n);
     }
   }
   double a = std::max(0.0, best_f - 0.5 / n);
@@ -154,10 +182,17 @@ Ntf synthesize_ntf(int order, double osr, double obg, bool optimize_zeros) {
     return poles;
   };
 
-  const auto gain_at = [&](double wc) {
+  // ||NTF||_inf for cutoff wc, exact whenever it is below `bound`. The
+  // norm is at least |NTF| at every scan-grid point, so once the Nyquist
+  // sample (where the high-pass response peaks on the increasing branch)
+  // reaches `bound`, the full scan cannot change a `< bound` comparison
+  // and that sample is returned instead.
+  const auto gain_below = [&](double wc, double bound) {
     Ntf t = ntf;
     t.poles = poles_for(wc);
-    return t.infinity_norm();
+    const double nyquist =
+        std::abs(response_at_zinv(t, scan_grid()[kScanPoints]));
+    return nyquist >= bound ? nyquist : t.infinity_norm();
   };
   // Hinf(wc) is U-shaped: for tiny wc the pole cluster at z ~ 1 is not
   // cancelled by the spread zeros and the in-band gain explodes; past the
@@ -165,9 +200,9 @@ Ntf synthesize_ntf(int order, double osr, double obg, bool optimize_zeros) {
   // origin). Locate the minimum by coarse log-scan, then bisect on the
   // increasing branch.
   double wc_min = 0.1;
-  double g_min = gain_at(wc_min);
+  double g_min = gain_below(wc_min, std::numeric_limits<double>::infinity());
   for (double wc = 0.01; wc < 0.95; wc *= 1.25) {
-    const double g = gain_at(wc);
+    const double g = gain_below(wc, g_min);
     if (g < g_min) {
       g_min = g;
       wc_min = wc;
@@ -179,12 +214,16 @@ Ntf synthesize_ntf(int order, double osr, double obg, bool optimize_zeros) {
         "this order/OSR");
   }
   double lo = wc_min, hi = 0.999;
-  if (gain_at(hi) < obg) {
+  if (gain_below(hi, obg) < obg) {
     throw std::runtime_error("synthesize_ntf: requested OBG too large");
   }
+  // Invariant: Hinf(lo) < obg <= Hinf(hi). Once the midpoint rounds
+  // onto an endpoint, every later step re-assigns that endpoint to itself,
+  // so stopping there returns the same bits as running all 80 steps.
   for (int it = 0; it < 80; ++it) {
     const double mid = 0.5 * (lo + hi);
-    if (gain_at(mid) < obg) {
+    if (mid == lo || mid == hi) break;
+    if (gain_below(mid, obg) < obg) {
       lo = mid;
     } else {
       hi = mid;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "src/analyze/opt/opt.h"
+#include "src/rtl/compiled_sim.h"
 
 namespace dsadc::synth {
 
@@ -156,9 +157,13 @@ PowerProfile profile_chain(const decim::ChainConfig& config,
                            fx::Overflow::kSaturate);
       }
     }
-    rtl::Simulator sim(stage.module);
+    // Activity comes from the compiled engine: its toggle and update
+    // counts are bit-identical to the interpreted rtl::Simulator, which
+    // stays the reference (tests/test_synth.cpp holds the two together).
+    const rtl::CompiledSimulator sim(stage.module);
     const rtl::SimResult run =
-        sim.run({{stage.in, std::span<const std::int64_t>(stream)}});
+        sim.run({{stage.in, std::span<const std::int64_t>(stream)}},
+                {.activity = true});
     Estimate e =
         estimate(stage.module, run.activity, base_clock_hz, lib, options);
     e.name = built.stage_names[i];

@@ -56,7 +56,8 @@ Estimate estimate_area_proven(const rtl::Module& module,
 
 /// Per-stage power profile of the whole chain: runs the per-stage modules
 /// with the stage's own input stream taken from a full-chain behavioral
-/// run (the same composition the paper uses for Table II).
+/// run (the same composition the paper uses for Table II). Activity comes
+/// from rtl::CompiledSimulator, bit-identical to the interpreted reference.
 struct PowerProfile {
   std::vector<Estimate> stages;
   double total_dynamic_w = 0.0;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <vector>
 
 #include "src/modulator/ntf.h"
 
@@ -65,6 +67,48 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(5, 16.0, 3.0),   // the paper's design
                       std::make_tuple(6, 12.0, 4.0),
                       std::make_tuple(7, 8.0, 6.0)));
+
+// Golden bits: synthesize_ntf must reproduce these poles and H-inf norms
+// exactly. Any speed-up of the grid scan or of the bisection has to leave
+// every bit where it is.
+struct NtfGolden {
+  int order;
+  double osr, obg;
+  double norm;
+  std::vector<std::complex<double>> poles;
+};
+
+TEST(NtfSynthesis, GoldenBits) {
+  const NtfGolden golden[] = {
+      {5, 16.0, 3.0, 0x1.7ffffffffffffp+1,
+       {{0x1.50d9ce3153f0ap-1, -0x1.fb2a45127ae17p-2},
+        {0x1.0b42b738218d3p-1, -0x1.f1618212690a9p-3},
+        {0x1.ef6d43129ce12p-2, -0x1.b091b6cd71cdcp-55},
+        {0x1.0b42b738218d3p-1, 0x1.f1618212690a6p-3},
+        {0x1.50d9ce3153f08p-1, 0x1.fb2a45127ae14p-2}}},
+      {4, 32.0, 2.5, 0x1.4p+1,
+       {{0x1.3ec17d0713deap-1, -0x1.e2858ff9c08cap-2},
+        {0x1.f39b041185ad1p-2, -0x1.39438d20a19p-3},
+        {0x1.f39b041185ad1p-2, 0x1.39438d20a18fcp-3},
+        {0x1.3ec17d0713deap-1, 0x1.e2858ff9c08c5p-2}}},
+      {4, 16.0, 2.5, 0x1.4p+1,
+       {{0x1.3d4402c784e57p-1, -0x1.e49c264ee0bcbp-2},
+        {0x1.f0ce09c13de3ap-2, -0x1.3a53492823d36p-3},
+        {0x1.f0ce09c13de3ap-2, 0x1.3a53492823d33p-3},
+        {0x1.3d4402c784e55p-1, 0x1.e49c264ee0bc5p-2}}},
+  };
+  for (const NtfGolden& g : golden) {
+    SCOPED_TRACE(::testing::Message() << "order " << g.order << ", OSR "
+                                      << g.osr << ", OBG " << g.obg);
+    const Ntf ntf = synthesize_ntf(g.order, g.osr, g.obg, true);
+    EXPECT_EQ(ntf.infinity_norm(), g.norm);
+    ASSERT_EQ(ntf.poles.size(), g.poles.size());
+    for (std::size_t i = 0; i < g.poles.size(); ++i) {
+      EXPECT_EQ(ntf.poles[i].real(), g.poles[i].real()) << "pole " << i;
+      EXPECT_EQ(ntf.poles[i].imag(), g.poles[i].imag()) << "pole " << i;
+    }
+  }
+}
 
 TEST(NtfSynthesis, DeepInBandNulls) {
   const Ntf ntf = synthesize_ntf(5, 16.0, 3.0, true);

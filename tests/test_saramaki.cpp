@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "src/dsp/chebyshev.h"
 #include "src/dsp/freqz.h"
@@ -152,6 +156,60 @@ TEST(Saramaki, AutoSearchMeetsTargetCheaply) {
   // at full precision.
   const auto fixed = design_saramaki_hbf(3, 6, 0.2125, 24, 0);
   EXPECT_LE(h.adder_count, fixed.adder_count + 5);
+}
+
+// The exhaustive search over the same candidates, through the public
+// fixed-structure API: design every candidate in full and keep the first
+// one with strictly fewer adders that meets the target.
+SaramakiHbf exhaustive_search(double fp, double atten_db) {
+  const std::pair<std::size_t, std::size_t> structures[] = {
+      {2, 4}, {2, 5}, {3, 5}, {3, 6}, {3, 7}, {4, 7}, {4, 8}, {4, 10}, {5, 12}};
+  const std::size_t digit_budgets[] = {3, 4, 5, 0};
+  std::optional<SaramakiHbf> best;
+  for (const auto& [n1, n2] : structures) {
+    for (std::size_t digits : digit_budgets) {
+      SaramakiHbf cand = design_saramaki_hbf(n1, n2, fp, 24, digits);
+      if (cand.stopband_atten_db < atten_db) continue;
+      if (!best || cand.adder_count < best->adder_count) best = std::move(cand);
+    }
+  }
+  if (!best) throw std::runtime_error("unreachable");
+  return *best;
+}
+
+void expect_csd_eq(const std::vector<fx::Csd>& a,
+                   const std::vector<fx::Csd>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].digits.size(), b[i].digits.size()) << "coefficient " << i;
+    for (std::size_t d = 0; d < a[i].digits.size(); ++d) {
+      EXPECT_EQ(a[i].digits[d].sign, b[i].digits[d].sign);
+      EXPECT_EQ(a[i].digits[d].position, b[i].digits[d].position);
+    }
+  }
+}
+
+TEST(Saramaki, AutoSearchMatchesExhaustive) {
+  for (double fp : {0.15, 0.18, 0.2125, 0.22, 0.23, 0.24}) {
+    for (double atten : {60.0, 75.0, 90.0, 100.0}) {
+      SCOPED_TRACE(::testing::Message() << "fp " << fp << ", " << atten
+                                        << " dB");
+      const SaramakiHbf want = exhaustive_search(fp, atten);
+      const SaramakiHbf got = design_saramaki_hbf_auto(fp, atten, 24);
+      EXPECT_EQ(got.n1, want.n1);
+      EXPECT_EQ(got.n2, want.n2);
+      EXPECT_EQ(got.passband_edge, want.passband_edge);
+      EXPECT_EQ(got.f1, want.f1);
+      EXPECT_EQ(got.f2, want.f2);
+      expect_csd_eq(got.f1_csd, want.f1_csd);
+      expect_csd_eq(got.f2_csd, want.f2_csd);
+      EXPECT_EQ(got.taps, want.taps);
+      EXPECT_EQ(got.stopband_atten_db, want.stopband_atten_db);
+      EXPECT_EQ(got.passband_ripple_db, want.passband_ripple_db);
+      EXPECT_EQ(got.adder_count, want.adder_count);
+    }
+  }
+  // Unreachable targets still throw: Saramaki.RejectsBadArgs.
 }
 
 TEST(Saramaki, StructuralAdderFormula) {

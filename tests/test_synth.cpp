@@ -2,8 +2,10 @@
 // the per-stage chain profile (Table II machinery).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
+#include "src/core/flow.h"
 #include "src/decimator/chain.h"
 #include "src/modulator/dsm.h"
 #include "src/modulator/ntf.h"
@@ -166,6 +168,105 @@ TEST_F(ChainProfile, DecimatedStagesCheaperPerOp) {
   const auto& s = profile_->stages;
   EXPECT_GT(s[0].dynamic_power_w, s[1].dynamic_power_w);
   EXPECT_GT(s[1].dynamic_power_w, s[2].dynamic_power_w);
+}
+
+// Reference profile: the same per-stage streams as profile_chain, with
+// each stage's activity taken from the interpreted rtl::Simulator.
+std::vector<synth::Estimate> interpreted_profile(
+    const decim::ChainConfig& config, const std::vector<std::int32_t>& codes,
+    double base_clock_hz, const synth::CellLibrary& lib) {
+  decim::DecimationChain chain(config);
+  std::vector<decim::StageProbe> probes;
+  (void)chain.process(codes, &probes);
+  const rtl::BuiltChain built = rtl::build_chain(config, {});
+  int gain_log2 = 0;
+  for (const auto& s : config.cic_stages) {
+    gain_log2 += s.order * static_cast<int>(std::log2(s.decimation));
+  }
+  std::vector<synth::Estimate> out;
+  for (std::size_t i = 0; i < built.stages.size(); ++i) {
+    std::vector<std::int64_t> stream = probes[i].samples;
+    if (built.stage_names[i] == "halfband") {
+      for (auto& v : stream) {
+        v = fx::requantize(v, gain_log2, config.hbf_in_format,
+                           fx::Rounding::kRoundNearest,
+                           fx::Overflow::kSaturate);
+      }
+    }
+    rtl::Simulator sim(built.stages[i].module);
+    const auto run = sim.run({{built.stages[i].in, stream}});
+    out.push_back(synth::estimate(built.stages[i].module, run.activity,
+                                  base_clock_hz, lib, {}));
+  }
+  return out;
+}
+
+void expect_profile_matches_interpreted(const decim::ChainConfig& config,
+                                        const std::vector<std::int32_t>& codes,
+                                        double base_clock_hz) {
+  const auto lib = synth::default_45nm();
+  const synth::PowerProfile got =
+      synth::profile_chain(config, codes, base_clock_hz, lib, {});
+  const auto want = interpreted_profile(config, codes, base_clock_hz, lib);
+  ASSERT_EQ(got.stages.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(got.stages[i].name);
+    EXPECT_EQ(got.stages[i].dynamic_power_w, want[i].dynamic_power_w);
+    EXPECT_EQ(got.stages[i].leakage_power_w, want[i].leakage_power_w);
+    EXPECT_EQ(got.stages[i].area_mm2, want[i].area_mm2);
+  }
+}
+
+TEST_F(ChainProfile, CompiledMatchesInterpretedReference) {
+  expect_profile_matches_interpreted(decim::paper_chain_config(), *codes_,
+                                     640e6);
+}
+
+// The W-CDMA-like and WiMAX-like flow chains: different Sinc orders,
+// rates and HBF structures from the paper chain.
+TEST(ChainProfileFlow, CompiledMatchesInterpretedReference) {
+  mod::ModulatorSpec wcdma;
+  wcdma.order = 4;
+  wcdma.osr = 32.0;
+  wcdma.obg = 2.5;
+  wcdma.sample_rate_hz = 320e6;
+  wcdma.bandwidth_hz = 5e6;
+  wcdma.quantizer_bits = 4;
+  wcdma.msa = 0.85;
+  mod::DecimatorSpec wcdma_d;
+  wcdma_d.input_bits = 4;
+  wcdma_d.passband_edge_hz = 5e6;
+  wcdma_d.stopband_edge_hz = 5.75e6;
+  wcdma_d.output_rate_hz = 10e6;
+  wcdma_d.stopband_atten_db = 85.0;
+
+  mod::ModulatorSpec wimax;
+  wimax.order = 5;
+  wimax.osr = 16.0;
+  wimax.obg = 3.0;
+  wimax.sample_rate_hz = 320e6;
+  wimax.bandwidth_hz = 10e6;
+  wimax.quantizer_bits = 4;
+  wimax.msa = 0.81;
+  mod::DecimatorSpec wimax_d;
+  wimax_d.input_bits = 4;
+  wimax_d.passband_edge_hz = 10e6;
+  wimax_d.stopband_edge_hz = 11.5e6;
+  wimax_d.output_rate_hz = 20e6;
+  wimax_d.stopband_atten_db = 85.0;
+
+  const std::pair<mod::ModulatorSpec, mod::DecimatorSpec> specs[] = {
+      {wcdma, wcdma_d}, {wimax, wimax_d}};
+  for (const auto& [m, d] : specs) {
+    SCOPED_TRACE(::testing::Message() << "bandwidth " << m.bandwidth_hz);
+    const core::FlowResult r = core::DesignFlow::design(m, d);
+    // The stimulus DesignFlow::synthesize uses: a tone at the MSA.
+    const auto u = mod::coherent_sine(1 << 13, d.passband_edge_hz / 3.0,
+                                      m.sample_rate_hz, r.msa, nullptr);
+    mod::CiffModulator modulator(r.ciff, m.quantizer_bits);
+    expect_profile_matches_interpreted(r.chain, modulator.run(u).codes,
+                                       m.sample_rate_hz);
+  }
 }
 
 }  // namespace
