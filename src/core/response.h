@@ -5,6 +5,7 @@
 // the modulator input rate.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/decimator/chain.h"
@@ -17,7 +18,15 @@ namespace dsadc::core {
 /// coefficients, i.e. this is the response of Fig. 11.
 std::vector<double> composite_impulse_response(const decim::ChainConfig& cfg);
 
-/// Magnitude of the composite response at absolute frequency `freq_hz`.
+/// Magnitude of the composite response at every absolute frequency of
+/// `freqs_hz`: the Sinc factors, |HBF|, the CSD scaler and |EQ| (quantized
+/// taps), multiplied in that order. The FIR stages are evaluated with
+/// dsp::fir_magnitudes and the coefficients quantized once per call.
+std::vector<double> composite_magnitudes(const decim::ChainConfig& cfg,
+                                         std::span<const double> freqs_hz);
+
+/// Magnitude of the composite response at absolute frequency `freq_hz`
+/// (the one-point case of composite_magnitudes).
 double composite_magnitude(const decim::ChainConfig& cfg, double freq_hz);
 
 /// Droop of the pre-equalizer part (Sinc cascade + HBF) referred to the
@@ -44,6 +53,7 @@ double composite_alias_protection_db(const decim::ChainConfig& cfg,
                                      std::size_t grid = 4096);
 
 /// Passband ripple (dB) of the composite response over [f0_hz, f1_hz].
+/// The three sweeps throw std::invalid_argument for grid == 0.
 double composite_passband_ripple_db(const decim::ChainConfig& cfg,
                                     double f0_hz, double f1_hz,
                                     std::size_t grid = 2048);

@@ -132,6 +132,14 @@ void DecimationChain::record_stage(const char* name, double rate_hz,
   }
 }
 
+double output_rate_hz(const ChainConfig& cfg) {
+  std::size_t m = 2;  // the HBF
+  for (const auto& s : cfg.cic_stages) {
+    m *= static_cast<std::size_t>(s.decimation);
+  }
+  return cfg.input_rate_hz / static_cast<double>(m);
+}
+
 DecimationChain::DecimationChain(ChainConfig config)
     : config_(std::move(config)),
       cic_(config_.cic_stages),
@@ -163,7 +171,7 @@ std::size_t DecimationChain::total_decimation() const {
 }
 
 double DecimationChain::output_rate_hz() const {
-  return config_.input_rate_hz / static_cast<double>(total_decimation());
+  return decim::output_rate_hz(config_);
 }
 
 std::size_t DecimationChain::group_delay_input_samples() const {

@@ -51,6 +51,10 @@ struct ChainConfig {
   double input_rate_hz = 640e6;
 };
 
+/// Output sample rate of the chain `cfg` describes: the input rate over
+/// the total decimation (every Sinc stage's factor, times 2 for the HBF).
+double output_rate_hz(const ChainConfig& cfg);
+
 /// Signal statistics over one block at a stage boundary, in raw LSB units
 /// of that stage's register format.
 struct SignalStats {

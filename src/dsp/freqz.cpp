@@ -3,10 +3,35 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 #include "src/dsp/spectrum.h"
 
 namespace dsadc::dsp {
+namespace {
+
+/// Horner chains fir_magnitudes runs side by side. Eight independent
+/// complex multiply-add chains hide the latency one serial chain exposes.
+constexpr std::size_t kLanes = 8;
+
+/// |H| on `n` points evenly spaced over [f0, f1], both edges included.
+std::vector<double> band_magnitudes(const char* who,
+                                    std::span<const double> h, double f0,
+                                    double f1, std::size_t n) {
+  if (n < 2) {
+    throw std::invalid_argument(std::string(who) +
+                                ": a band sweep needs n >= 2 points");
+  }
+  std::vector<double> freqs(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    freqs[k] = f0 + (f1 - f0) * static_cast<double>(k) / static_cast<double>(n - 1);
+  }
+  std::vector<double> mags(n);
+  fir_magnitudes(h, freqs, mags);
+  return mags;
+}
+
+}  // namespace
 
 std::complex<double> fir_response_at(std::span<const double> h, double f) {
   // Horner evaluation at z^-1 = e^{-j 2 pi f}.
@@ -15,6 +40,51 @@ std::complex<double> fir_response_at(std::span<const double> h, double f) {
   std::complex<double> acc(0.0, 0.0);
   for (std::size_t i = h.size(); i-- > 0;) acc = acc * zinv + h[i];
   return acc;
+}
+
+void fir_magnitudes(std::span<const double> h, std::span<const double> freqs,
+                    std::span<double> mags) {
+  if (mags.size() != freqs.size()) {
+    throw std::invalid_argument("fir_magnitudes: freqs/mags size mismatch");
+  }
+  // This TU is built for the baseline ISA on purpose: with FMA available,
+  // GCC's default -ffp-contract=fast would fuse the products below and
+  // the lanes would no longer match fir_response_at bit for bit.
+  const std::size_t n = freqs.size();
+  const std::size_t full = n - n % kLanes;
+  for (std::size_t k0 = 0; k0 < full; k0 += kLanes) {
+    double zr[kLanes], zi[kLanes], ar[kLanes], ai[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const double w = 2.0 * std::numbers::pi * freqs[k0 + l];
+      zr[l] = std::cos(w);
+      zi[l] = -std::sin(w);
+      ar[l] = 0.0;
+      ai[l] = 0.0;
+    }
+    // acc = acc * zinv + h[i] per lane, in std::complex's operation order:
+    // the product's real and imaginary parts, then h[i] added to the real
+    // part only (adding 0.0 to the imaginary part would turn -0 into +0).
+    for (std::size_t i = h.size(); i-- > 0;) {
+      const double hi = h[i];
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const double re = ar[l] * zr[l] - ai[l] * zi[l];
+        const double im = ar[l] * zi[l] + ai[l] * zr[l];
+        ar[l] = re + hi;
+        ai[l] = im;
+      }
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      // std::complex leaves the plain formula (for __muldc3's infinity
+      // recovery) exactly when a product comes out NaN in both parts, and
+      // such a lane stays NaN in both parts to the end: recompute it.
+      mags[k0 + l] = std::isnan(ar[l]) && std::isnan(ai[l])
+                         ? std::abs(fir_response_at(h, freqs[k0 + l]))
+                         : std::abs(std::complex<double>(ar[l], ai[l]));
+    }
+  }
+  for (std::size_t k = full; k < n; ++k) {
+    mags[k] = std::abs(fir_response_at(h, freqs[k]));
+  }
 }
 
 std::complex<double> rational_response_at(std::span<const double> b,
@@ -28,10 +98,8 @@ std::complex<double> rational_response_at(std::span<const double> b,
 std::vector<double> fir_magnitude_db(std::span<const double> h, std::size_t n,
                                      double fmax) {
   std::vector<double> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double f = fmax * static_cast<double>(k) / static_cast<double>(n);
-    out[k] = amplitude_db(std::abs(fir_response_at(h, f)));
-  }
+  fir_magnitudes(h, frequency_grid(n, fmax), out);
+  for (double& m : out) m = amplitude_db(m);
   return out;
 }
 
@@ -46,9 +114,8 @@ std::vector<double> frequency_grid(std::size_t n, double fmax) {
 double passband_ripple_db(std::span<const double> h, double f0, double f1,
                           std::size_t n) {
   double lo = 1e300, hi = -1e300;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double f = f0 + (f1 - f0) * static_cast<double>(k) / static_cast<double>(n - 1);
-    const double m = amplitude_db(std::abs(fir_response_at(h, f)));
+  for (double mag : band_magnitudes("passband_ripple_db", h, f0, f1, n)) {
+    const double m = amplitude_db(mag);
     lo = std::min(lo, m);
     hi = std::max(hi, m);
   }
@@ -58,9 +125,8 @@ double passband_ripple_db(std::span<const double> h, double f0, double f1,
 double max_magnitude_db(std::span<const double> h, double f0, double f1,
                         std::size_t n) {
   double hi = -1e300;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double f = f0 + (f1 - f0) * static_cast<double>(k) / static_cast<double>(n - 1);
-    hi = std::max(hi, amplitude_db(std::abs(fir_response_at(h, f))));
+  for (double mag : band_magnitudes("max_magnitude_db", h, f0, f1, n)) {
+    hi = std::max(hi, amplitude_db(mag));
   }
   return hi;
 }

@@ -13,6 +13,13 @@ namespace dsadc::dsp {
 /// H(e^{j 2 pi f}) of an FIR with impulse response `h`, f in cycles/sample.
 std::complex<double> fir_response_at(std::span<const double> h, double f);
 
+/// |H(e^{j 2 pi f_k})| of an FIR at every point of `freqs` into `mags`
+/// (same length), bit-identical to std::abs(fir_response_at(h, f_k)).
+/// Evaluates several Horner chains side by side, so a whole grid costs
+/// far less than one fir_response_at call per point.
+void fir_magnitudes(std::span<const double> h, std::span<const double> freqs,
+                    std::span<double> mags);
+
 /// H(e^{j 2 pi f}) of a rational system b(z)/a(z) with coefficients in
 /// descending powers of z^-1 (b[0] + b[1] z^-1 + ...).
 std::complex<double> rational_response_at(std::span<const double> b,
@@ -26,7 +33,8 @@ std::vector<double> fir_magnitude_db(std::span<const double> h, std::size_t n,
 std::vector<double> frequency_grid(std::size_t n, double fmax = 0.5);
 
 /// Peak-to-peak magnitude ripple of an FIR in dB over band [f0, f1]
-/// (cycles/sample), sampled on `n` points.
+/// (cycles/sample), sampled on `n` points. The band sweeps below throw
+/// std::invalid_argument for n < 2.
 double passband_ripple_db(std::span<const double> h, double f0, double f1,
                           std::size_t n = 2048);
 

@@ -1,6 +1,9 @@
 #include "src/filterdesign/equalizer.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 #include "src/dsp/freqz.h"
@@ -16,11 +19,22 @@ EqualizerResult design_droop_equalizer(
   if (!(fp > 0.0 && fp <= 0.5)) {
     throw std::invalid_argument("design_droop_equalizer: fp out of range");
   }
+  // Remez asks desired(f) and then weight(f) at every grid point; a
+  // one-entry memo lets both share a single droop evaluation.
+  std::optional<std::uint64_t> memo_f;  // bit pattern of the memoized f
+  double memo_droop = 0.0;
+  const auto droop_at = [&](double f) {
+    if (memo_f != std::bit_cast<std::uint64_t>(f)) {
+      memo_droop = droop(f);
+      memo_f = std::bit_cast<std::uint64_t>(f);
+    }
+    return memo_droop;
+  };
   Band band;
   band.f0 = 0.0;
   band.f1 = std::min(fp, 0.4999);
-  band.desired = [droop](double f) {
-    const double d = droop(f);
+  band.desired = [&droop_at](double f) {
+    const double d = droop_at(f);
     if (d <= 1e-6) {
       throw std::runtime_error("design_droop_equalizer: droop too deep");
     }
@@ -28,7 +42,7 @@ EqualizerResult design_droop_equalizer(
   };
   // Weighting by droop(f) makes the *compensated* error equiripple:
   // |W (EQ - 1/droop)| = |droop * EQ - 1|.
-  band.weight = [droop](double f) { return std::max(1e-6, droop(f)); };
+  band.weight = [&droop_at](double f) { return std::max(1e-6, droop_at(f)); };
   const Band bands[] = {band};
   const RemezResult r = remez(num_taps, bands);
 
@@ -38,11 +52,14 @@ EqualizerResult design_droop_equalizer(
   // Measure the realized compensated ripple.
   double lo = 1e300, hi = -1e300;
   const std::size_t n = 2048;
+  std::vector<double> freqs(n + 1);
   for (std::size_t k = 0; k <= n; ++k) {
-    const double f = band.f1 * static_cast<double>(k) / static_cast<double>(n);
-    const double m =
-        droop(f) * std::abs(dsp::fir_response_at(out.taps, f));
-    const double db = dsp::amplitude_db(m);
+    freqs[k] = band.f1 * static_cast<double>(k) / static_cast<double>(n);
+  }
+  std::vector<double> mags(n + 1);
+  dsp::fir_magnitudes(out.taps, freqs, mags);
+  for (std::size_t k = 0; k <= n; ++k) {
+    const double db = dsp::amplitude_db(droop(freqs[k]) * mags[k]);
     lo = std::min(lo, db);
     hi = std::max(hi, db);
   }

@@ -29,11 +29,13 @@ HalfbandResult design_halfband(std::size_t j, double fp) {
   // realized response directly for robustness.
   out.ripple = 0.0;
   const std::size_t n = 2048;
+  std::vector<double> freqs(n + 1);
   for (std::size_t k = 0; k <= n; ++k) {
-    const double f = fp * static_cast<double>(k) / static_cast<double>(n);
-    const double m = std::abs(dsp::fir_response_at(out.taps, f));
-    out.ripple = std::max(out.ripple, std::abs(m - 1.0));
+    freqs[k] = fp * static_cast<double>(k) / static_cast<double>(n);
   }
+  std::vector<double> mags(n + 1);
+  dsp::fir_magnitudes(out.taps, freqs, mags);
+  for (double m : mags) out.ripple = std::max(out.ripple, std::abs(m - 1.0));
   out.stopband_atten_db = dsp::min_attenuation_db(out.taps, 0.5 - fp, 0.5);
   return out;
 }

@@ -1,5 +1,6 @@
 #include "src/filterdesign/saramaki.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <optional>
@@ -51,19 +52,46 @@ std::vector<double> csd_values(const std::vector<dsadc::fx::Csd>& v) {
   return out;
 }
 
+/// Steps of the stopband grid [0.5 - fp, 0.5] on which optimize_f1 maps
+/// the stopband to its image under 2 F2hat.
+constexpr std::size_t kImageSteps = 4096;
+
+/// cos((2j-1) w_k) over the stopband grid, for j = 1..cols: the terms of
+/// f2_zero_phase, computed with its exact expressions. It depends only on
+/// fp, so one table serves every F2 of a search with n2 <= cols.
+struct StopbandCosTable {
+  std::size_t cols = 0;
+  std::vector<double> cosines;  ///< (kImageSteps + 1) rows of `cols`
+
+  StopbandCosTable(double fp, std::size_t n2_max)
+      : cols(n2_max), cosines((kImageSteps + 1) * n2_max) {
+    for (std::size_t k = 0; k <= kImageSteps; ++k) {
+      const double f = (0.5 - fp) + fp * static_cast<double>(k) /
+                                        static_cast<double>(kImageSteps);
+      const double w = 2.0 * kPi * f;
+      for (std::size_t j = 1; j <= cols; ++j) {
+        cosines[k * cols + j - 1] =
+            std::cos(static_cast<double>(2 * j - 1) * w);
+      }
+    }
+  }
+};
+
 /// Minimax design of the outer taps: approximate -0.5 on the stopband
 /// image X = { 2 F2hat(w) : w in stopband } with sum_i f1_i T_{2i-1}(x)
 /// (the composite's half-band symmetry makes the passband follow
 /// automatically). Small dedicated Remez exchange in the x domain.
 std::vector<double> optimize_f1(const std::vector<double>& f2,
-                                std::size_t n1, double fp) {
-  // Stopband x image: continuous, so an interval [x_lo, x_hi].
+                                std::size_t n1,
+                                const StopbandCosTable& stopband) {
+  // Stopband x image: continuous, so an interval [x_lo, x_hi]. Each row
+  // is summed in f2_zero_phase's order, so x is its value bit for bit.
   double x_lo = 1.0, x_hi = -1.0;
-  const std::size_t nimg = 4096;
-  for (std::size_t k = 0; k <= nimg; ++k) {
-    const double f =
-        (0.5 - fp) + fp * static_cast<double>(k) / static_cast<double>(nimg);
-    const double x = 2.0 * f2_zero_phase(f2, f);
+  for (std::size_t k = 0; k <= kImageSteps; ++k) {
+    const double* c = &stopband.cosines[k * stopband.cols];
+    double acc = 0.0;
+    for (std::size_t j = 0; j < f2.size(); ++j) acc += f2[j] * c[j];
+    const double x = 2.0 * acc;
     x_lo = std::min(x_lo, x);
     x_hi = std::max(x_hi, x);
   }
@@ -151,8 +179,8 @@ std::vector<double> design_f2(std::size_t n2, double fp) {
 /// F2, the F1 fit against it, and the CSD encodings. The composite taps
 /// and their response (the costly part) are left to compose_and_measure.
 SaramakiHbf quantized_candidate(std::size_t n1, const std::vector<double>& f2,
-                                double fp, int frac_bits,
-                                std::size_t max_digits) {
+                                double fp, const StopbandCosTable& stopband,
+                                int frac_bits, std::size_t max_digits) {
   SaramakiHbf out;
   out.n1 = n1;
   out.n2 = f2.size();
@@ -166,7 +194,7 @@ SaramakiHbf quantized_candidate(std::size_t n1, const std::vector<double>& f2,
   // done in the Chebyshev basis and converted to the power-basis taps the
   // cascade hardware actually applies.
   out.f1 = chebyshev_to_power_basis(
-      optimize_f1(csd_values(out.f2_csd), n1, fp));
+      optimize_f1(csd_values(out.f2_csd), n1, stopband));
   out.f1_csd = quantize_csd(out.f1, frac_bits, max_digits);
   out.adder_count = saramaki_structural_adders(n1, out.n2) +
                     dsadc::fx::total_adder_cost(out.f1_csd) +
@@ -260,8 +288,9 @@ SaramakiHbf design_saramaki_hbf(std::size_t n1, std::size_t n2, double fp,
     throw std::invalid_argument("design_saramaki_hbf: unsupported (n1, n2)");
   }
   check_passband_edge(fp);
-  SaramakiHbf out =
-      quantized_candidate(n1, design_f2(n2, fp), fp, frac_bits, max_digits);
+  SaramakiHbf out = quantized_candidate(n1, design_f2(n2, fp), fp,
+                                        StopbandCosTable(fp, n2), frac_bits,
+                                        max_digits);
   compose_and_measure(out);
   out.passband_ripple_db = dsp::passband_ripple_db(out.taps, 0.0, fp);
   return out;
@@ -285,6 +314,9 @@ SaramakiHbf design_saramaki_hbf_auto(double fp, double atten_db,
   // a candidate that cannot win skips the compose/measure sweeps. Every
   // skipped candidate would have been rejected by the full search, so the
   // result is the one the exhaustive scan returns.
+  std::size_t n2_max = 0;
+  for (const auto& st : structures) n2_max = std::max(n2_max, st.second);
+  const StopbandCosTable stopband(fp, n2_max);
   std::optional<SaramakiHbf> best;
   for (const auto& [n1, n2] : structures) {
     if (best && saramaki_structural_adders(n1, n2) >= best->adder_count) {
@@ -292,7 +324,8 @@ SaramakiHbf design_saramaki_hbf_auto(double fp, double atten_db,
     }
     const std::vector<double> f2 = design_f2(n2, fp);  // digit-independent
     for (std::size_t digits : digit_budgets) {
-      SaramakiHbf cand = quantized_candidate(n1, f2, fp, frac_bits, digits);
+      SaramakiHbf cand =
+          quantized_candidate(n1, f2, fp, stopband, frac_bits, digits);
       if (best && cand.adder_count >= best->adder_count) continue;
       compose_and_measure(cand);
       if (cand.stopband_atten_db < atten_db) continue;

@@ -1,11 +1,15 @@
 // Inverse-droop equalizer design (Section VI).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/dsp/freqz.h"
+#include "src/dsp/spectrum.h"
 #include "src/filterdesign/cic.h"
 #include "src/filterdesign/equalizer.h"
+#include "src/filterdesign/remez.h"
 
 namespace {
 
@@ -69,6 +73,51 @@ TEST(Equalizer, IdentityDroopGivesAllpassUnity) {
       design_droop_equalizer(33, [](double) { return 1.0; }, 0.4999);
   for (double f = 0.0; f <= 0.48; f += 0.06) {
     EXPECT_NEAR(std::abs(dsp::fir_response_at(eq.taps, f)), 1.0, 1e-3);
+  }
+}
+
+TEST(Equalizer, MatchesDirectRemezWithOneDroopCallPerPoint) {
+  std::vector<double> calls;
+  const auto counted = [&calls](double f) {
+    calls.push_back(f);
+    return sinc_cascade_droop(f);
+  };
+  const auto eq = design_droop_equalizer(49, counted, 0.4999);
+
+  // The same design, posed directly: the taps must be bit-identical.
+  Band band;
+  band.f0 = 0.0;
+  band.f1 = 0.4999;
+  band.desired = [](double f) { return 1.0 / sinc_cascade_droop(f); };
+  band.weight = [](double f) {
+    return std::max(1e-6, sinc_cascade_droop(f));
+  };
+  const Band bands[] = {band};
+  const RemezResult r = remez(49, bands);
+  ASSERT_EQ(eq.taps.size(), r.taps.size());
+  for (std::size_t i = 0; i < r.taps.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(eq.taps[i]),
+              std::bit_cast<std::uint64_t>(r.taps[i])) << "tap " << i;
+  }
+
+  // The realized ripple, measured point by point over 2049 points.
+  double lo = 1e300, hi = -1e300;
+  for (std::size_t k = 0; k <= 2048; ++k) {
+    const double f = 0.4999 * static_cast<double>(k) / 2048.0;
+    const double db = dsp::amplitude_db(
+        sinc_cascade_droop(f) * std::abs(dsp::fir_response_at(eq.taps, f)));
+    lo = std::min(lo, db);
+    hi = std::max(hi, db);
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(eq.residual_ripple_db),
+            std::bit_cast<std::uint64_t>(hi - lo));
+
+  // Remez asks desired(f) and weight(f) at each grid point; the droop
+  // behind both is evaluated once, so no point is asked twice in a row.
+  ASSERT_GT(calls.size(), 2049u);
+  for (std::size_t i = 1; i < calls.size(); ++i) {
+    EXPECT_NE(std::bit_cast<std::uint64_t>(calls[i]),
+              std::bit_cast<std::uint64_t>(calls[i - 1])) << "call " << i;
   }
 }
 

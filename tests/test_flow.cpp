@@ -2,6 +2,9 @@
 // produce a verified, synthesizable decimation filter - and retarget it.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/core/flow.h"
 #include "src/core/response.h"
 
@@ -149,6 +152,115 @@ TEST_P(FlowOsrSweep, DesignsMeetSpecsAcrossOsr) {
 
 INSTANTIATE_TEST_SUITE_P(Grid, FlowOsrSweep,
                          ::testing::Values(4.0, 8.0, 16.0, 32.0, 64.0));
+
+/// FNV-1a over the bit patterns of every double in a FlowResult, in a
+/// fixed order, with vector lengths mixed in so a dropped or extra
+/// element changes the digest too.
+class FlowDigest {
+ public:
+  void add(double v) { add_word(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::complex<double> v) {
+    add(v.real());
+    add(v.imag());
+  }
+  template <typename T>
+  void add(const std::vector<T>& v) {
+    add_word(v.size());
+    for (const T& x : v) add(x);
+  }
+  void add(const std::vector<fx::Csd>& v) {
+    add_word(v.size());
+    for (const fx::Csd& c : v) add(c.to_double());
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void add_word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (w >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t flow_digest(const FlowResult& r) {
+  FlowDigest d;
+  const auto& m = r.modulator_spec;
+  for (double v : {m.osr, m.obg, m.sample_rate_hz, m.bandwidth_hz, m.msa}) {
+    d.add(v);
+  }
+  const auto& s = r.decimator_spec;
+  for (double v : {s.passband_ripple_db, s.passband_edge_hz,
+                   s.stopband_edge_hz, s.stopband_atten_db, s.output_rate_hz,
+                   s.target_snr_db}) {
+    d.add(v);
+  }
+  d.add(r.options.hbf_atten_target_db);
+  d.add(r.ntf.zeros);
+  d.add(r.ntf.poles);
+  d.add(r.ciff.a);
+  d.add(r.ciff.g);
+  d.add(r.ciff.c);
+  d.add(r.ciff.b0);
+  d.add(r.predicted_sqnr_db);
+  d.add(r.msa);
+  const auto& h = r.chain.hbf;
+  d.add(h.f1);
+  d.add(h.f2);
+  d.add(h.f1_csd);
+  d.add(h.f2_csd);
+  d.add(h.taps);
+  for (double v : {h.passband_edge, h.stopband_atten_db,
+                   h.passband_ripple_db}) {
+    d.add(v);
+  }
+  d.add(r.chain.scale);
+  d.add(r.chain.equalizer_taps);
+  d.add(r.chain.input_rate_hz);
+  d.add(r.passband_ripple_db);
+  d.add(r.alias_protection_db);
+  return d.value();
+}
+
+// Bit-exact regression lock on the whole design flow: any change to a
+// response sweep, search or fit that moves one bit of any result double
+// for these three specs changes a digest.
+TEST(Flow, GoldenDigest) {
+  struct Case {
+    const char* name;
+    mod::ModulatorSpec m;
+    mod::DecimatorSpec d;
+    std::uint64_t digest;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"paper", mod::paper_modulator_spec(),
+                   mod::paper_decimator_spec(), 0x5b124ee129154294ull});
+  Case w{"wcdma", {}, {}, 0x3ebb0015ae169400ull};  // W-CDMA-like: 5 MHz, OSR 32
+  w.m.order = 4;
+  w.m.osr = 32.0;
+  w.m.obg = 2.5;
+  w.m.sample_rate_hz = 320e6;
+  w.m.bandwidth_hz = 5e6;
+  w.m.msa = 0.85;
+  w.d.passband_edge_hz = 5e6;
+  w.d.stopband_edge_hz = 5.75e6;
+  w.d.output_rate_hz = 10e6;
+  w.d.target_snr_db = 85.0;
+  cases.push_back(w);
+  Case x{"wimax", {}, {}, 0x15e39dbaad4475f4ull};  // 802.16x-like: 10 MHz, OSR 16
+  x.m.sample_rate_hz = 320e6;
+  x.m.bandwidth_hz = 10e6;
+  x.d.passband_edge_hz = 10e6;
+  x.d.stopband_edge_hz = 11.5e6;
+  x.d.output_rate_hz = 20e6;
+  cases.push_back(x);
+  for (const Case& c : cases) {
+    const FlowResult r = DesignFlow::design(c.m, c.d);
+    EXPECT_EQ(flow_digest(r), c.digest)
+        << c.name << ": 0x" << std::hex << flow_digest(r);
+  }
+}
 
 TEST(FlowRetarget, RejectsNonPowerOfTwoOsr) {
   mod::ModulatorSpec m = mod::paper_modulator_spec();

@@ -1,10 +1,15 @@
 // Frequency-response helpers: closed-form checks and cascade identities.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <random>
+#include <stdexcept>
 
 #include "src/dsp/freqz.h"
+#include "src/dsp/spectrum.h"
 
 namespace {
 
@@ -91,6 +96,134 @@ TEST(RippleAndAttenuation, AveragerNumbers) {
   // At f = 1/3, attenuation relative to DC = -20 log10(cos(pi/3)) = 6.02.
   const double att = min_attenuation_db(h, 1.0 / 3.0, 1.0 / 3.0 + 1e-6, 8);
   EXPECT_NEAR(att, 6.02, 0.02);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The batched sweep must equal the single-point form at every point, bit
+/// for bit.
+void expect_pointwise(std::span<const double> h,
+                      std::span<const double> freqs) {
+  std::vector<double> mags(freqs.size(), -1.0);
+  fir_magnitudes(h, freqs, mags);
+  for (std::size_t k = 0; k < freqs.size(); ++k) {
+    ASSERT_EQ(bits(mags[k]), bits(std::abs(fir_response_at(h, freqs[k]))))
+        << h.size() << " taps, point " << k << " of " << freqs.size()
+        << ", f = " << freqs[k];
+  }
+}
+
+TEST(FirMagnitudes, MatchesPointwiseBitForBit) {
+  std::mt19937_64 rng(14);
+  std::uniform_real_distribution<double> tap(-1.0, 1.0);
+  for (std::size_t taps : {0, 1, 7, 8, 9, 415}) {
+    std::vector<double> h(taps);
+    for (double& v : h) v = tap(rng);
+    for (std::size_t n : {0, 1, 7, 9, 2049}) {
+      // Points over [-0.75, 0.75): negative and past-Nyquist frequencies
+      // included; the first few are pinned to the special values.
+      std::vector<double> freqs(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        freqs[k] = -0.75 + 1.5 * static_cast<double>(k) / static_cast<double>(n);
+      }
+      const double special[] = {0.0, 0.5, -0.0, -0.3, 0.9, 0.25, 1.0};
+      for (std::size_t k = 0; k < std::min(n, std::size(special)); ++k) {
+        freqs[k] = special[k];
+      }
+      expect_pointwise(h, freqs);
+    }
+  }
+}
+
+TEST(FirMagnitudes, MatchesPointwiseOnPaperSizedStopband) {
+  std::mt19937_64 rng(111);
+  std::uniform_real_distribution<double> tap(-0.1, 0.1);
+  std::vector<double> h(111);
+  for (double& v : h) v = tap(rng);
+  std::vector<double> freqs(2049);
+  for (std::size_t k = 0; k < freqs.size(); ++k) {
+    freqs[k] = 0.2875 + 0.2125 * static_cast<double>(k) / 2048.0;
+  }
+  expect_pointwise(h, freqs);
+}
+
+TEST(FirMagnitudes, OverflowingTapsTakeThePointwisePath) {
+  // Taps near DBL_MAX overflow the accumulator, and the plain complex
+  // product formula then yields NaN in both parts: exactly where
+  // std::complex recovers the infinities through __muldc3. The sweep
+  // must recompute those points, not report NaN.
+  const std::vector<double> h(9, 1e308);
+  std::vector<double> freqs(64);
+  for (std::size_t k = 0; k < freqs.size(); ++k) {
+    freqs[k] = 0.5 * static_cast<double>(k) / 64.0;
+  }
+  // The case is only a test of the fallback if the plain formula does go
+  // NaN in both parts somewhere.
+  bool plain_nan = false;
+  for (double f : freqs) {
+    const double w = 2.0 * std::numbers::pi * f;
+    const double zr = std::cos(w), zi = -std::sin(w);
+    double ar = 0.0, ai = 0.0;
+    for (std::size_t i = h.size(); i-- > 0;) {
+      const double re = ar * zr - ai * zi;
+      const double im = ar * zi + ai * zr;
+      ar = re + h[i];
+      ai = im;
+    }
+    plain_nan |= std::isnan(ar) && std::isnan(ai) &&
+                 !std::isnan(std::abs(fir_response_at(h, f)));
+  }
+  ASSERT_TRUE(plain_nan);
+  expect_pointwise(h, freqs);
+}
+
+TEST(FirMagnitudes, RejectsSizeMismatch) {
+  const std::vector<double> h{1.0, 2.0};
+  const std::vector<double> freqs{0.1, 0.2};
+  std::vector<double> mags(3);
+  EXPECT_THROW(fir_magnitudes(h, freqs, mags), std::invalid_argument);
+}
+
+TEST(FirMagnitudes, MagnitudeDbMatchesPointwise) {
+  const std::vector<double> h{0.25, -0.5, 1.0, -0.5, 0.25, 0.125};
+  const std::vector<double> db = fir_magnitude_db(h, 37, 0.45);
+  ASSERT_EQ(db.size(), 37u);
+  for (std::size_t k = 0; k < db.size(); ++k) {
+    const double f = 0.45 * static_cast<double>(k) / 37.0;
+    EXPECT_EQ(bits(db[k]), bits(amplitude_db(std::abs(fir_response_at(h, f)))));
+  }
+}
+
+TEST(RippleAndAttenuation, BandSweepsMatchPointwiseLoops) {
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> tap(-1.0, 1.0);
+  std::vector<double> h(41);
+  for (double& v : h) v = tap(rng);
+  for (std::size_t n : {2, 3, 8, 9, 2048}) {
+    const double f0 = 0.05, f1 = 0.31;
+    double lo = 1e300, hi = -1e300;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double f = f0 + (f1 - f0) * static_cast<double>(k) /
+                                static_cast<double>(n - 1);
+      const double m = amplitude_db(std::abs(fir_response_at(h, f)));
+      lo = std::min(lo, m);
+      hi = std::max(hi, m);
+    }
+    EXPECT_EQ(bits(passband_ripple_db(h, f0, f1, n)), bits(hi - lo)) << n;
+    EXPECT_EQ(bits(max_magnitude_db(h, f0, f1, n)), bits(hi)) << n;
+    const double dc = amplitude_db(std::abs(fir_response_at(h, 0.0)));
+    EXPECT_EQ(bits(min_attenuation_db(h, f0, f1, n)), bits(dc - hi)) << n;
+  }
+}
+
+TEST(RippleAndAttenuation, DegenerateGridsThrow) {
+  // One point would divide the band by n - 1 = 0 and return NaN.
+  const std::vector<double> h{0.5, 0.5};
+  for (std::size_t n : {0, 1}) {
+    EXPECT_THROW(passband_ripple_db(h, 0.0, 0.2, n), std::invalid_argument);
+    EXPECT_THROW(max_magnitude_db(h, 0.3, 0.5, n), std::invalid_argument);
+    EXPECT_THROW(min_attenuation_db(h, 0.3, 0.5, n), std::invalid_argument);
+  }
 }
 
 TEST(IsSymmetric, DetectsBothCases) {

@@ -2,8 +2,13 @@
 // 4.1), out-of-band gain control, and SQNR prediction trends.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <limits>
+#include <numbers>
+#include <random>
 #include <vector>
 
 #include "src/modulator/ntf.h"
@@ -107,6 +112,130 @@ TEST(NtfSynthesis, GoldenBits) {
       EXPECT_EQ(ntf.poles[i].real(), g.poles[i].real()) << "pole " << i;
       EXPECT_EQ(ntf.poles[i].imag(), g.poles[i].imag()) << "pole " << i;
     }
+  }
+}
+
+// The H-inf scan as it was before the grid was evaluated in lanes: one
+// std::complex zero/pole product per point, then the golden-section
+// refinement. infinity_norm must return its value bit for bit.
+std::complex<double> reference_zinv(double f) {
+  const double w = 2.0 * std::numbers::pi * f;
+  return {std::cos(w), -std::sin(w)};
+}
+
+double reference_magnitude(const Ntf& ntf, double f) {
+  const std::complex<double> zinv = reference_zinv(f);
+  std::complex<double> num(1.0, 0.0), den(1.0, 0.0);
+  for (const auto& z : ntf.zeros) num *= (1.0 - z * zinv);
+  for (const auto& p : ntf.poles) den *= (1.0 - p * zinv);
+  return std::abs(num / den);
+}
+
+double reference_infinity_norm(const Ntf& ntf) {
+  const std::size_t n = 8192;
+  double best = 0.0, best_f = 0.0;
+  for (std::size_t k = 0; k <= n; ++k) {
+    const double f = 0.5 * static_cast<double>(k) / static_cast<double>(n);
+    const double m = reference_magnitude(ntf, f);
+    if (m > best) {
+      best = m;
+      best_f = f;
+    }
+  }
+  double a = std::max(0.0, best_f - 0.5 / n);
+  double b = std::min(0.5, best_f + 0.5 / n);
+  const double gr = (std::sqrt(5.0) - 1.0) / 2.0;
+  double c = b - gr * (b - a), d = a + gr * (b - a);
+  for (int it = 0; it < 60; ++it) {
+    if (reference_magnitude(ntf, c) > reference_magnitude(ntf, d)) {
+      b = d;
+    } else {
+      a = c;
+    }
+    c = b - gr * (b - a);
+    d = a + gr * (b - a);
+  }
+  return std::max(best, reference_magnitude(ntf, 0.5 * (a + b)));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(NtfInfinityNorm, MatchesReferenceScanOnSynthesizedNtfs) {
+  int checked = 0;
+  for (int order = 1; order <= 8; ++order) {
+    for (double osr : {16.0, 64.0}) {
+      for (double obg : {1.5, 3.0}) {
+        for (bool opt : {true, false}) {
+          Ntf ntf;
+          try {
+            ntf = synthesize_ntf(order, osr, obg, opt);
+          } catch (const std::runtime_error&) {
+            continue;  // OBG unreachable for this order/OSR
+          }
+          ASSERT_EQ(bits(ntf.infinity_norm()),
+                    bits(reference_infinity_norm(ntf)))
+              << "order " << order << ", OSR " << osr << ", OBG " << obg
+              << (opt ? ", spread zeros" : ", DC zeros");
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 30);
+}
+
+TEST(NtfInfinityNorm, MatchesReferenceScanOnHostileRoots) {
+  using C = std::complex<double>;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Ntf> cases;
+  // Poles on the unit circle at scan points: zero denominators.
+  cases.push_back({{C(1.0, 0.0)}, {C(1.0, 0.0), C(-1.0, 0.0)}});
+  cases.push_back({{}, {std::polar(1.0, 2.0 * std::numbers::pi * 0.125)}});
+  // Huge roots: the products overflow, and the plain complex product
+  // formula goes NaN in both parts where std::complex recovers infinities.
+  cases.push_back({{}, std::vector<C>(5, C(1e80, 1e80))});
+  cases.push_back({std::vector<C>(6, C(-1e70, 3e69)),
+                   std::vector<C>(6, C(1e70, -1e70))});
+  cases.push_back({std::vector<C>(4, C(1e200, 0.0)), {C(0.5, 0.0)}});
+  // Found by a random search over huge root sets: the scan's peak is a
+  // point where only __muldc3's infinity recovery gives a number (inf);
+  // the plain formula gives NaN there and everywhere else.
+  cases.push_back(
+      {{C(-0x1.78dce84f2b8f6p+193, -0x1.a81a4f42a089p+192),
+        C(-0x1.e81c5766a766cp+180, 0x1.08f89e320b1dp+179),
+        C(0x1.438df45ce9f02p+68, -0x1.203d0cb753cc2p+70),
+        C(0x1.20566f7df3857p+343, -0x1.8e4c2d06838efp+340),
+        C(-0x1.efb46aead60a5p-1, -0x1.00498c3202197p-2),
+        C(0x1.5fcd9301c67c3p-1, 0x1.73fe2726dd45fp-1),
+        C(-0x1.1c5c7afb42a96p+352, -0x1.95cbc82e7b4e8p+353),
+        C(0x1.b58f9d1195ed1p+341, 0x1.48de0637561e5p+343),
+        C(-0x1.cc7375ae535e9p+311, 0x1.94f76109b62b9p+309)},
+       {C(-0x1.fb7ffd1d82d88p+271, 0x1.089a30472a82cp+271),
+        C(-0x1.ea0dd95b14c9bp+248, 0x1.cb1c9fe3a210ep+253),
+        C(0x1.9f3d7dd63239fp+391, -0x1.d2cbcaf16d73dp+390),
+        C(-0x1.a39094b353cd8p-1, 0x1.2571ac9b50695p-1),
+        C(0x1.0047abcfb817ap+107, -0x1.337a3fbc4f1e1p+109)}});
+  // Infinite and NaN roots, and tiny ones.
+  cases.push_back({{C(inf, 0.0)}, {C(0.3, 0.2)}});
+  cases.push_back({{C(0.9, 0.1)}, {C(0.0, inf), C(0.2, 0.0)}});
+  cases.push_back({{C(nan, 0.0)}, {C(0.5, 0.5)}});
+  cases.push_back({{C(1e-300, -1e-300)}, {C(-1e-310, 0.0)}});
+  // Random root sets of every order up to 8, some outside the disc.
+  std::mt19937_64 rng(8);
+  std::uniform_real_distribution<double> u(-1.5, 1.5);
+  for (int order = 1; order <= 8; ++order) {
+    Ntf t;
+    for (int i = 0; i < order; ++i) {
+      t.zeros.emplace_back(u(rng), u(rng));
+      t.poles.emplace_back(u(rng), u(rng));
+    }
+    cases.push_back(t);
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(bits(cases[i].infinity_norm()),
+              bits(reference_infinity_norm(cases[i])))
+        << "case " << i;
   }
 }
 
