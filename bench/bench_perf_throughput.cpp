@@ -22,7 +22,6 @@
 #include "src/rtl/compiled_sim.h"
 #include "src/rtl/sim.h"
 #include "src/runtime/multichannel.h"
-#include "src/runtime/pipeline.h"
 
 namespace {
 
@@ -171,25 +170,6 @@ void BM_MultiChannelSoA(benchmark::State& state) {
                           static_cast<std::int64_t>(channels * (1 << 13)));
 }
 BENCHMARK(BM_MultiChannelSoA)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
-
-// Pipelined stage executor vs the serial block chain, same stimulus. On a
-// single hardware core the pipeline can only lose (queue traffic buys no
-// parallelism), so the recorded pipeline_vs_serial ratio has a lenient
-// floor; on multicore runners it exceeds 1 and bench_diff only gates
-// regressions.
-void BM_PipelinedChain(benchmark::State& state) {
-  ::setenv("DSADC_RUNTIME_THREADS", "4", 1);
-  runtime::PipelinedChain pipe(decim::paper_chain_config(),
-                               /*block_frames=*/4096);
-  const auto& codes = paper_codes();
-  for (auto _ : state) {
-    pipe.reset();
-    benchmark::DoNotOptimize(pipe.process(codes));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(codes.size()));
-}
-BENCHMARK(BM_PipelinedChain)->UseRealTime();
 
 void BM_HbfDesign(benchmark::State& state) {
   for (auto _ : state) {
@@ -561,9 +541,6 @@ int main(int argc, char** argv) {
   ok &= record_speedup(report, reporter, "runtime_soa_64ch_speedup",
                        "BM_MultiChannelSoA/64", "BM_MultiChannelSerial/64",
                        3.5);
-  ok &= record_speedup(report, reporter, "runtime_pipeline_vs_serial",
-                       "BM_PipelinedChain/real_time", "BM_DecimationChain",
-                       0.3);
   // The optimized tape must never be slower than the unoptimized one; the
   // floor is lenient (0.98) because the win is modest -- the tape is
   // already const-hoisted -- and timer noise on small deltas is real.

@@ -22,7 +22,7 @@ bool is_pow2(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
                               const mod::DecimatorSpec& dspec,
                               const FlowOptions& options) {
-  DSADC_TRACE_SPAN("design_flow", "flow");
+  DSADC_TRACE_SPAN("design_flow");
   FlowResult r;
   r.modulator_spec = mspec;
   r.decimator_spec = dspec;
@@ -31,7 +31,7 @@ FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
   // --- Step 1: modulator model.
   r.ntf = mod::synthesize_ntf(mspec.order, mspec.osr, mspec.obg, true);
   {
-    DSADC_TRACE_SPAN("realize_and_msa", "design");
+    DSADC_TRACE_SPAN("realize_and_msa");
     r.ciff = mod::realize_ciff(r.ntf);
     r.msa = options.measure_msa
                 ? mod::find_msa(r.ciff, mspec.quantizer_bits, mspec.osr)
@@ -116,7 +116,7 @@ FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
   // The flow grows the equalizer if the requested length cannot meet the
   // ripple spec (full-droop compensation up to the output Nyquist edge is
   // a steep target: the HBF alone is -6 dB at exactly fout/2).
-  DSADC_TRACE_SPAN("equalizer_design", "design");
+  DSADC_TRACE_SPAN("equalizer_design");
   std::size_t eq_taps = options.equalizer_taps;
   for (;;) {
     const design::EqualizerResult eq =
@@ -140,7 +140,7 @@ FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
 VerificationResult DesignFlow::verify(const FlowResult& result,
                                       double tone_freq_hz,
                                       std::size_t run_length) {
-  DSADC_TRACE_SPAN("flow_verify", "flow");
+  DSADC_TRACE_SPAN("flow_verify");
   VerificationResult v;
   const auto& mspec = result.modulator_spec;
   double factual = tone_freq_hz;
@@ -180,7 +180,7 @@ VerificationResult DesignFlow::verify(const FlowResult& result,
 }
 
 RtlArtifacts DesignFlow::generate_rtl(const FlowResult& result) {
-  DSADC_TRACE_SPAN("rtl_elaborate", "flow");
+  DSADC_TRACE_SPAN("rtl_elaborate");
   RtlArtifacts art;
   const rtl::BuiltChain built =
       rtl::build_chain(result.chain, result.options.rtl_options);
@@ -197,7 +197,7 @@ synth::PowerProfile DesignFlow::synthesize(const FlowResult& result,
                                            double tone_freq_hz,
                                            std::size_t run_length,
                                            const synth::CellLibrary& lib) {
-  DSADC_TRACE_SPAN("synthesize", "flow");
+  DSADC_TRACE_SPAN("synthesize");
   const auto& mspec = result.modulator_spec;
   const std::vector<double> u = mod::coherent_sine(
       run_length, tone_freq_hz, mspec.sample_rate_hz, result.msa, nullptr);

@@ -13,20 +13,6 @@
 namespace dsadc::decim {
 namespace {
 
-int cic_cascade_gain_log2(const std::vector<design::CicSpec>& stages) {
-  double g = 0.0;
-  for (const auto& s : stages) {
-    g += s.order * std::log2(static_cast<double>(s.decimation));
-  }
-  const int gi = static_cast<int>(std::lround(g));
-  if (std::abs(g - gi) > 1e-9) {
-    throw std::invalid_argument(
-        "DecimationChain: CIC gain must be a power of two for shift "
-        "normalization");
-  }
-  return gi;
-}
-
 /// One block in N gets stage-boundary events when the trace store is on
 /// (DSADC_STORE_STAGE_SAMPLE, default 8, minimum 1 = every block).
 std::size_t stage_sample_period() {
@@ -140,6 +126,19 @@ double output_rate_hz(const ChainConfig& cfg) {
   return cfg.input_rate_hz / static_cast<double>(m);
 }
 
+int cic_cascade_gain_log2(const ChainConfig& cfg) {
+  double g = 0.0;
+  for (const auto& s : cfg.cic_stages) {
+    g += s.order * std::log2(static_cast<double>(s.decimation));
+  }
+  const int gi = static_cast<int>(std::lround(g));
+  if (std::abs(g - gi) > 1e-9) {
+    throw std::invalid_argument(
+        "CIC cascade gain must be a power of two for shift normalization");
+  }
+  return gi;
+}
+
 DecimationChain::DecimationChain(ChainConfig config)
     : config_(std::move(config)),
       cic_(config_.cic_stages),
@@ -151,7 +150,7 @@ DecimationChain::DecimationChain(ChainConfig config)
                                       config_.equalizer_frac_bits),
                  /*decimation=*/1, config_.scaler_out_format,
                  config_.output_format),
-      cic_gain_log2_(cic_cascade_gain_log2(config_.cic_stages)) {
+      cic_gain_log2_(cic_cascade_gain_log2(config_)) {
   const auto& stages = cic_.stages();
   sinc_names_.reserve(stages.size());
   for (std::size_t i = 0; i < stages.size(); ++i) {

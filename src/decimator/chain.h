@@ -55,6 +55,11 @@ struct ChainConfig {
 /// the total decimation (every Sinc stage's factor, times 2 for the HBF).
 double output_rate_hz(const ChainConfig& cfg);
 
+/// log2 of the Sinc cascade's DC gain (sum of order * log2(decimation)).
+/// The gain must be a power of two so the renormalization into the HBF
+/// format is a pure shift; throws std::invalid_argument otherwise.
+int cic_cascade_gain_log2(const ChainConfig& cfg);
+
 /// Signal statistics over one block at a stage boundary, in raw LSB units
 /// of that stage's register format.
 struct SignalStats {

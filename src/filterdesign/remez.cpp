@@ -99,7 +99,7 @@ Band const_band(double f0, double f1, double desired, double weight) {
 
 RemezResult remez(std::size_t num_taps, std::span<const Band> bands,
                   int grid_density, int max_iterations) {
-  DSADC_TRACE_SPAN("remez", "design");
+  DSADC_TRACE_SPAN("remez");
   if (num_taps < 3) throw std::invalid_argument("remez: need at least 3 taps");
   if (bands.empty()) throw std::invalid_argument("remez: need at least one band");
   for (const auto& b : bands) {

@@ -283,7 +283,7 @@ std::size_t saramaki_structural_adders(std::size_t n1, std::size_t n2) {
 
 SaramakiHbf design_saramaki_hbf(std::size_t n1, std::size_t n2, double fp,
                                 int frac_bits, std::size_t max_digits) {
-  DSADC_TRACE_SPAN("design_saramaki_hbf", "design");
+  DSADC_TRACE_SPAN("design_saramaki_hbf");
   if (n1 < 1 || n1 > 6 || n2 < 2 || n2 > 16) {
     throw std::invalid_argument("design_saramaki_hbf: unsupported (n1, n2)");
   }
@@ -298,7 +298,7 @@ SaramakiHbf design_saramaki_hbf(std::size_t n1, std::size_t n2, double fp,
 
 SaramakiHbf design_saramaki_hbf_auto(double fp, double atten_db,
                                      int frac_bits) {
-  DSADC_TRACE_SPAN("design_saramaki_hbf_auto", "design");
+  DSADC_TRACE_SPAN("design_saramaki_hbf_auto");
   check_passband_edge(fp);
   // Candidate structures, ordered roughly by hardware cost; digit budgets
   // from lean to exact.

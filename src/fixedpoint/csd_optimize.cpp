@@ -29,7 +29,7 @@ bool taps_symmetric(std::span<const double> taps) {
 OptimizedCsdTaps optimize_csd_taps(std::span<const double> taps, double fstop,
                                    double target_atten_db, int frac_bits,
                                    std::size_t grid) {
-  DSADC_TRACE_SPAN("optimize_csd_taps", "design");
+  DSADC_TRACE_SPAN("optimize_csd_taps");
   if (taps.empty()) throw std::invalid_argument("optimize_csd_taps: no taps");
   if (!(fstop > 0.0 && fstop < 0.5)) {
     throw std::invalid_argument("optimize_csd_taps: fstop out of range");

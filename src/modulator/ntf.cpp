@@ -203,7 +203,7 @@ double Ntf::inband_noise_power_gain(double osr, std::size_t grid) const {
 }
 
 Ntf synthesize_ntf(int order, double osr, double obg, bool optimize_zeros) {
-  DSADC_TRACE_SPAN("synthesize_ntf", "design");
+  DSADC_TRACE_SPAN("synthesize_ntf");
   if (order < 1 || order > 8) {
     throw std::invalid_argument("synthesize_ntf: order must be in [1, 8]");
   }

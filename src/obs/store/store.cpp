@@ -2,19 +2,24 @@
 
 #ifndef DSADC_OBS_COMPILED_OFF
 
+#include <stdlib.h>  // mkdtemp
+
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "src/obs/store/query.h"
+#include "src/obs/store/reader.h"
 #include "src/obs/store/tracker.h"
 #include "src/obs/store/writer.h"
-#include "src/obs/trace.h"
 
 namespace dsadc::obs::store {
 namespace {
@@ -130,11 +135,54 @@ void drain_loop() {
   }
 }
 
-bool init_enabled() {
-  const char* dir = std::getenv("DSADC_STORE_OUT");
-  if (dir != nullptr && dir[0] != '\0') {
-    open(dir);  // sets g_enabled on success
+/// DSADC_TRACE_OUT export: the Chrome file, the store directory opened
+/// at first use, and whether that is a temp directory to remove after.
+std::string g_trace_out;
+std::string g_trace_dir;
+bool g_trace_dir_is_temp = false;
+
+void export_trace_at_exit() {
+  close();
+  {
+    const StoreReader reader(g_trace_dir);
+    if (reader.ok()) export_chrome(reader, Query{}, g_trace_out);
   }
+  if (g_trace_dir_is_temp) {
+    std::error_code ec;
+    std::filesystem::remove_all(g_trace_dir, ec);
+  }
+}
+
+/// A fresh directory under the system temp dir for a DSADC_TRACE_OUT
+/// store; empty on failure.
+std::string make_temp_store_dir() {
+  std::error_code ec;
+  std::string tmpl =
+      (std::filesystem::temp_directory_path(ec) / "dsadc_trace_XXXXXX")
+          .string();
+  return !ec && ::mkdtemp(tmpl.data()) != nullptr ? tmpl : std::string();
+}
+
+void open_from_env() {
+  const char* dir = std::getenv("DSADC_STORE_OUT");
+  const char* trace = std::getenv("DSADC_TRACE_OUT");
+  const bool has_dir = dir != nullptr && dir[0] != '\0';
+  if (trace == nullptr || trace[0] == '\0') {
+    if (has_dir) open(dir);
+    return;
+  }
+  g_trace_out = trace;
+  g_trace_dir = has_dir ? std::string(dir) : make_temp_store_dir();
+  g_trace_dir_is_temp = !has_dir;
+  // Registered after open()'s own close hook, so it runs first.
+  if (!g_trace_dir.empty() && open(g_trace_dir)) {
+    std::atexit(export_trace_at_exit);
+  }
+}
+
+bool init_enabled() {
+  static const bool once = (open_from_env(), true);  // sets g_enabled on open
+  (void)once;
   int expected = -1;
   g_enabled.compare_exchange_strong(expected, 0, std::memory_order_relaxed);
   return g_enabled.load(std::memory_order_relaxed) != 0;
@@ -264,7 +312,12 @@ std::uint32_t intern(std::string_view name) {
   return id;
 }
 
-std::int64_t now_us() { return trace_now_us(); }
+std::int64_t now_us() {
+  static const auto epoch = std::chrono::steady_clock::now();
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - epoch)
+      .count();
+}
 
 std::uint64_t next_txn_id() {
   return g_txn_ids.fetch_add(1, std::memory_order_relaxed) + 1;

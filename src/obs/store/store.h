@@ -1,5 +1,5 @@
-// Process-wide columnar trace store: the service-scale replacement for
-// the Chrome-JSON span buffer (docs/OBSERVABILITY.md).
+// Process-wide columnar trace store: the one sink for trace spans
+// (trace.h) and runtime events (docs/OBSERVABILITY.md).
 //
 // The write path is built for many concurrent emitters: each thread
 // appends events to its own staging buffer (one uncontended mutex
@@ -10,8 +10,9 @@
 // events is handed off.
 //
 // The store is off by default. It turns on when DSADC_STORE_OUT=<dir> is
-// set in the environment (finalized automatically at process exit) or
-// programmatically via open()/close(). When off, emit() costs one
+// set in the environment (finalized automatically at process exit), when
+// DSADC_TRACE_OUT=<file> is (see trace.h: a temp-dir store exported as a
+// Chrome trace at exit), or programmatically via open()/close(). When off, emit() costs one
 // relaxed atomic load and a branch; with DSADC_OBS_COMPILED_OFF every
 // entry point is a constant no-op.
 //
@@ -74,8 +75,7 @@ void emit_batch(const Event* events, std::size_t n);
 /// so call sites may intern eagerly in function-local statics.
 std::uint32_t intern(std::string_view name);
 
-/// Microseconds since the trace epoch (shared with obs::trace_now_us, so
-/// store timestamps and Chrome spans line up).
+/// Microseconds since the trace epoch (the first call).
 std::int64_t now_us();
 
 /// Fresh nonzero transaction id (used by tracker.h).

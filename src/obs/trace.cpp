@@ -1,230 +1,29 @@
 #include "src/obs/trace.h"
 
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <mutex>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 #include "src/obs/store/store.h"
 
 namespace dsadc::obs {
-namespace {
 
-struct TraceEvent {
-  std::string name;          ///< empty when name_lit is set
-  const char* name_lit;      ///< static-storage name, or nullptr
-  const char* category;
-  std::int64_t start_us;
-  std::int64_t dur_us;
-  std::uint64_t tid;
-};
+Span::Span(std::string name) : name_(std::move(name)) { begin(); }
 
-std::size_t default_max_events() {
-  if (const char* v = std::getenv("DSADC_TRACE_MAX_EVENTS")) {
-    const long long n = std::strtoll(v, nullptr, 10);
-    if (n >= 1) return static_cast<std::size_t>(n);
-  }
-  return std::size_t{1} << 20;
-}
-
-struct TraceState {
-  std::mutex mu;
-  std::vector<TraceEvent> events;
-  std::size_t max_events = default_max_events();
-  std::size_t dropped = 0;
-  std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-};
-
-TraceState& state() {
-  static TraceState* s = new TraceState();
-  return *s;
-}
-
-/// -1 undecided, 0 off, 1 on.
-std::atomic<int> g_trace_enabled{-1};
-
-void dump_at_exit() {
-  const char* path = std::getenv("DSADC_TRACE_OUT");
-  if (path != nullptr && path[0] != '\0') write_trace(path);
-}
-
-bool init_trace_enabled() {
-  const char* path = std::getenv("DSADC_TRACE_OUT");
-  const bool on = path != nullptr && path[0] != '\0';
-  int expected = -1;
-  if (g_trace_enabled.compare_exchange_strong(expected, on ? 1 : 0,
-                                              std::memory_order_relaxed) &&
-      on) {
-    std::atexit(dump_at_exit);
-  }
-  return g_trace_enabled.load(std::memory_order_relaxed) != 0;
-}
-
-std::uint64_t this_thread_id() {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id()) & 0xffffff;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-}
-
-}  // namespace
-
-bool trace_enabled() {
-  if (!enabled()) return false;
-  const int s = g_trace_enabled.load(std::memory_order_relaxed);
-  if (s >= 0) return s != 0;
-  return init_trace_enabled();
-}
-
-void set_trace_enabled(bool on) {
-  g_trace_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-std::int64_t trace_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - state().epoch)
-      .count();
-}
-
-void trace_record(std::string name, const char* category,
-                  std::int64_t start_us, std::int64_t dur_us) {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (s.events.size() >= s.max_events) {
-    ++s.dropped;
-    return;
-  }
-  s.events.push_back(
-      {std::move(name), nullptr, category, start_us, dur_us,
-       this_thread_id()});
-}
-
-void trace_record(const char* name, const char* category,
-                  std::int64_t start_us, std::int64_t dur_us) {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (s.events.size() >= s.max_events) {
-    ++s.dropped;
-    return;
-  }
-  s.events.push_back(
-      {std::string(), name, category, start_us, dur_us, this_thread_id()});
-}
-
-void set_trace_max_events(std::size_t cap) {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.max_events = cap;
-}
-
-std::size_t trace_max_events() {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.max_events;
-}
-
-std::size_t trace_dropped_count() {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.dropped;
-}
-
-std::string trace_json() {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  for (std::size_t i = 0; i < s.events.size(); ++i) {
-    const TraceEvent& e = s.events[i];
-    if (i) out += ",";
-    out += "\n  {\"name\": \"";
-    append_escaped(out, e.name_lit != nullptr ? std::string_view(e.name_lit)
-                                              : std::string_view(e.name));
-    out += "\", \"cat\": \"";
-    append_escaped(out, e.category);
-    out += "\", \"ph\": \"X\", \"pid\": 1, \"tid\": ";
-    out += std::to_string(e.tid);
-    out += ", \"ts\": ";
-    out += std::to_string(e.start_us);
-    out += ", \"dur\": ";
-    out += std::to_string(e.dur_us);
-    out += "}";
-  }
-  out += "\n]}\n";
-  return out;
-}
-
-bool write_trace(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = trace_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  return ok;
-}
-
-void clear_trace() {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.events.clear();
-  s.dropped = 0;
-}
-
-std::size_t trace_event_count() {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.events.size();
-}
-
-Span::Span(std::string name, const char* category)
-    : name_(std::move(name)), category_(category) {
-  begin();
-}
-
-Span::Span(const char* name, const char* category)
-    : name_lit_(name), category_(category) {
-  begin();
-}
+Span::Span(const char* name) : name_lit_(name) { begin(); }
 
 void Span::begin() {
-  trace_on_ = trace_enabled();
-  if (trace_on_ || store::enabled()) start_us_ = trace_now_us();
+  if (store::enabled()) start_us_ = store::now_us();
 }
 
 Span::~Span() {
-  if (start_us_ < 0) return;
-  const std::int64_t dur = trace_now_us() - start_us_;
-  if (store::enabled()) {
-    store::Event e;
-    e.category = store::Category::kFlow;
-    e.name = store::intern(name_lit_ != nullptr ? std::string_view(name_lit_)
-                                                : std::string_view(name_));
-    // ts 0 means "stamp now" to emit(); clamp the epoch-adjacent case.
-    e.ts_us = start_us_ > 0 ? start_us_ : 1;
-    e.dur_us = dur;
-    store::emit(e);
-  }
-  if (!trace_on_) return;
-  // A span that outlives a set_trace_enabled(false) still records: the
-  // matching begin was already committed to the timeline.
-  if (name_lit_ != nullptr) {
-    trace_record(name_lit_, category_, start_us_, dur);
-  } else {
-    trace_record(std::move(name_), category_, start_us_, dur);
-  }
+  if (start_us_ < 0 || !store::enabled()) return;
+  store::Event e;
+  e.category = store::Category::kFlow;
+  e.name = store::intern(name_lit_ != nullptr ? std::string_view(name_lit_)
+                                              : std::string_view(name_));
+  // ts 0 means "stamp now" to emit(); clamp the epoch-adjacent case.
+  e.ts_us = start_us_ > 0 ? start_us_ : 1;
+  e.dur_us = store::now_us() - start_us_;
+  store::emit(e);
 }
 
 }  // namespace dsadc::obs

@@ -1,14 +1,15 @@
-// RAII trace spans with Chrome trace-event JSON export.
+// RAII trace spans, recorded into the columnar trace store (store/store.h).
 //
-// A Span measures the wall time of a scope and records a complete ("ph":
-// "X") trace event when tracing is on. The buffer serializes to the Chrome
-// trace-event format, so a dump loads directly in chrome://tracing or
-// https://ui.perfetto.dev.
+// A Span measures the wall time of a scope and, while the store is open,
+// emits one kFlow event carrying the span name and duration. While the
+// store is closed a Span costs one branch and no clock reads.
 //
-// Tracing is off by default. It turns on when DSADC_TRACE_OUT=<path> is
-// set in the environment (the buffer is then auto-written to <path> at
-// process exit) or programmatically via set_trace_enabled(true). When off,
-// a Span costs one branch and no clock reads.
+// DSADC_TRACE_OUT=<file> records a whole process as a Chrome trace: the
+// store's first use opens it (in a fresh temp directory unless
+// DSADC_STORE_OUT names one), and at exit the store is closed, exported
+// as Chrome trace-event JSON to <file> -- loadable in chrome://tracing,
+// https://ui.perfetto.dev and `obs_report --trace` -- and the temp
+// directory removed.
 #pragma once
 
 #include <cstdint>
@@ -18,50 +19,12 @@
 
 namespace dsadc::obs {
 
-/// True when span timings are being recorded. Follows enabled(): tracing
-/// never records while observability as a whole is disabled.
-bool trace_enabled();
-void set_trace_enabled(bool on);
-
-/// Microseconds since the process trace epoch (first use).
-std::int64_t trace_now_us();
-
-/// Append one complete event (used by Span; public for custom phases).
-void trace_record(std::string name, const char* category,
-                  std::int64_t start_us, std::int64_t dur_us);
-
-/// Allocation-free overload for names with static storage duration
-/// (string literals): the pointer is kept, not copied.
-void trace_record(const char* name, const char* category,
-                  std::int64_t start_us, std::int64_t dur_us);
-
-/// Cap on buffered events. Defaults to DSADC_TRACE_MAX_EVENTS from the
-/// environment, else 1M; records past the cap are counted, not stored,
-/// so a long soak cannot grow the buffer without bound.
-void set_trace_max_events(std::size_t cap);
-std::size_t trace_max_events();
-
-/// Events dropped at the cap since the last clear_trace().
-std::size_t trace_dropped_count();
-
-/// Serialize the buffer: {"traceEvents": [...], "displayTimeUnit": "ms"}.
-std::string trace_json();
-
-/// Write trace_json() to `path`; returns false on I/O failure.
-bool write_trace(const std::string& path);
-
-/// Drop all recorded events (tests).
-void clear_trace();
-
-/// Number of buffered events.
-std::size_t trace_event_count();
-
 class Span {
  public:
-  explicit Span(std::string name, const char* category = "flow");
+  explicit Span(std::string name);
   /// Literal-name overload: hot-path spans pay no string allocation on
-  /// construction or record.
-  explicit Span(const char* name, const char* category = "flow");
+  /// construction.
+  explicit Span(const char* name);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -71,22 +34,19 @@ class Span {
 
   std::string name_;
   const char* name_lit_ = nullptr;  ///< set by the literal overload
-  const char* category_;
-  std::int64_t start_us_ = -1;  ///< -1: nothing records at exit
-  bool trace_on_ = false;       ///< tracing (vs only the store) at entry
+  std::int64_t start_us_ = -1;      ///< -1: nothing records at exit
 };
 
 }  // namespace dsadc::obs
 
 #ifdef DSADC_OBS_COMPILED_OFF
-#define DSADC_TRACE_SPAN(name, category) \
-  do {                                   \
+#define DSADC_TRACE_SPAN(name) \
+  do {                         \
   } while (0)
 #else
 #define DSADC_TRACE_SPAN_CAT2(a, b) a##b
 #define DSADC_TRACE_SPAN_CAT(a, b) DSADC_TRACE_SPAN_CAT2(a, b)
 /// Declares a scope-lifetime span object (not an expression statement).
-#define DSADC_TRACE_SPAN(name, category)                   \
-  ::dsadc::obs::Span DSADC_TRACE_SPAN_CAT(dsadc_span_,     \
-                                          __LINE__)(name, category)
+#define DSADC_TRACE_SPAN(name) \
+  ::dsadc::obs::Span DSADC_TRACE_SPAN_CAT(dsadc_span_, __LINE__)(name)
 #endif

@@ -291,7 +291,7 @@ SimResult CompiledSimulator::run(
     const std::map<NodeId, std::span<const std::int64_t>>& inputs,
     const CompiledRunOptions& options) const {
   if (kernel_) return run_codegen(inputs, options);
-  DSADC_TRACE_SPAN("rtl_sim_compiled", "rtl");
+  DSADC_TRACE_SPAN("rtl_sim_compiled");
 
   // Bind streams to input cursors and derive the run length; the checks
   // mirror the interpreted simulator so either engine rejects the same
@@ -358,7 +358,7 @@ SimResult CompiledSimulator::run(
 SimResult CompiledSimulator::run_codegen(
     const std::map<NodeId, std::span<const std::int64_t>>& inputs,
     const CompiledRunOptions& options) const {
-  DSADC_TRACE_SPAN("rtl_sim_codegen", "rtl");
+  DSADC_TRACE_SPAN("rtl_sim_codegen");
 
   // Identical binding and validation to the tape path.
   std::vector<const std::int64_t*> in_ptrs(input_nodes_.size(), nullptr);

@@ -31,7 +31,7 @@ Simulator::Simulator(const Module& module) : module_(module) {}
 
 SimResult Simulator::run(
     const std::map<NodeId, std::span<const std::int64_t>>& inputs) {
-  DSADC_TRACE_SPAN("rtl_sim", "rtl");
+  DSADC_TRACE_SPAN("rtl_sim");
   const auto& nodes = module_.nodes();
   const std::size_t n = nodes.size();
 

@@ -1,8 +1,9 @@
 #include "src/runtime/multichannel.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -14,26 +15,6 @@
 #include "src/obs/metrics.h"
 
 namespace dsadc::runtime {
-namespace {
-
-// log2 of the CIC cascade DC gain (same rule as DecimationChain: the
-// cascade gain must be a power of two so renormalization is a pure shift).
-int cic_cascade_gain_log2(const std::vector<design::CicSpec>& stages) {
-  double g = 0.0;
-  for (const auto& s : stages) {
-    g += s.order * std::log2(static_cast<double>(s.decimation));
-  }
-  const int gi = static_cast<int>(std::lround(g));
-  if (std::abs(g - gi) > 1e-9) {
-    throw std::invalid_argument(
-        "ChainBank: CIC gain must be a power of two for shift "
-        "normalization");
-  }
-  return gi;
-}
-
-}  // namespace
-
 std::size_t configured_threads() {
   if (const char* env = std::getenv("DSADC_RUNTIME_THREADS")) {
     const long n = std::strtol(env, nullptr, 10);
@@ -46,7 +27,7 @@ std::size_t configured_threads() {
 
 ChainBank::ChainBank(const decim::ChainConfig& config, std::size_t lanes)
     : lanes_(lanes),
-      renorm_(cic_cascade_gain_log2(config.cic_stages), config.hbf_in_format,
+      renorm_(decim::cic_cascade_gain_log2(config), config.hbf_in_format,
               fx::Rounding::kRoundNearest,
               fx::event_counters("chain_hbf_in")),
       hbf_(config.hbf, lanes, config.hbf_in_format, config.hbf_out_format,
@@ -56,7 +37,8 @@ ChainBank::ChainBank(const decim::ChainConfig& config, std::size_t lanes)
       equalizer_(decim::FixedTaps::from_real(config.equalizer_taps,
                                              config.equalizer_frac_bits),
                  /*decimation=*/1, lanes, config.scaler_out_format,
-                 config.output_format) {
+                 config.output_format),
+      dst_(lanes) {
   cic_.reserve(config.cic_stages.size());
   for (const auto& spec : config.cic_stages) {
     cic_.emplace_back(spec, lanes);
@@ -81,6 +63,43 @@ void ChainBank::process_inplace(std::vector<std::int64_t>& data) {
   hbf_.process_inplace(data);
   scaler_.process_inplace(data);
   equalizer_.process_inplace(data);
+}
+
+void ChainBank::process_rows(std::span<const std::int32_t* const> rows,
+                             std::size_t frames,
+                             std::span<std::vector<std::int64_t>> outs) {
+  if (rows.size() != lanes_ || outs.size() != lanes_) {
+    throw std::invalid_argument("ChainBank: one row and output per lane");
+  }
+  // Both copies run frame-major: the interleaved stream stays sequential
+  // (one cache line per 8 slots) while the other side fans across the
+  // lane streams -- lane-major order would touch a fresh line on every
+  // store once the chunk outgrows L1.
+  const std::size_t width = lanes_;
+  for (std::size_t base = 0; base < frames; base += kTransposeChunkFrames) {
+    const std::size_t chunk = std::min(kTransposeChunkFrames, frames - base);
+    buf_.resize(chunk * width);
+    std::int64_t* const buf = buf_.data();
+    for (std::size_t f = 0; f < chunk; ++f) {
+      for (std::size_t lane = 0; lane < width; ++lane) {
+        buf[f * width + lane] = rows[lane][base + f];
+      }
+    }
+    process_inplace(buf_);
+    const std::size_t chunk_out = buf_.size() / width;
+    std::int64_t** const dst = dst_.data();
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      const std::size_t off = outs[lane].size();
+      outs[lane].resize(off + chunk_out);
+      dst[lane] = outs[lane].data() + off;
+    }
+    const std::int64_t* const src = buf_.data();
+    for (std::size_t f = 0; f < chunk_out; ++f) {
+      for (std::size_t lane = 0; lane < width; ++lane) {
+        dst[lane][f] = src[f * width + lane];
+      }
+    }
+  }
 }
 
 void ChainBank::export_lane(std::size_t lane,
@@ -148,29 +167,12 @@ void MultiChannelRuntime::process_into(
   const auto run_group = [&](Group& g) {
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t w = g.width;
-    // Hoisting the per-lane base pointers turns the interleave into flat
-    // pointer walks (no vector-of-vectors indirection per element).
-    g.rows.resize(w);
+    std::array<const std::int32_t*, kGroupWidth> rows{};
     for (std::size_t lane = 0; lane < w; ++lane) {
-      g.rows[lane] = codes[g.first + lane].data();
+      rows[lane] = codes[g.first + lane].data();
+      out[g.first + lane].clear();
     }
-    g.buf.resize(frames * w);
-    std::int64_t* const buf = g.buf.data();
-    const std::int32_t* const* const rows = g.rows.data();
-    for (std::size_t f = 0; f < frames; ++f) {
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        buf[f * w + lane] = rows[lane][f];
-      }
-    }
-    g.bank.process_inplace(g.buf);
-    const std::size_t out_frames = g.buf.size() / w;
-    for (std::size_t lane = 0; lane < w; ++lane) {
-      auto& dst = out[g.first + lane];
-      dst.resize(out_frames);
-      std::int64_t* const d = dst.data();
-      const std::int64_t* const src = g.buf.data() + lane;
-      for (std::size_t f = 0; f < out_frames; ++f) d[f] = src[f * w];
-    }
+    g.bank.process_rows({rows.data(), w}, frames, {out.data() + g.first, w});
     if (obs_on) {
       const std::chrono::duration<double> dt =
           std::chrono::steady_clock::now() - t0;

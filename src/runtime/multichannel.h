@@ -10,6 +10,10 @@
 // each channel's output stream -- and the fx.<event>.<site> saturation /
 // round counter totals -- are bit-identical to running N scalar chains.
 //
+// ChainBank::process_rows is the one interleave -> bank -> deinterleave
+// loop: MultiChannelRuntime here and the session runtime's lockstep
+// batch rounds (session.h) both call it, in kTransposeChunkFrames chunks.
+//
 // Groups are independent, so they can be claimed by a small worker pool
 // (DSADC_RUNTIME_THREADS); the group width is a compile-time constant and
 // results are deposited per-channel, so the output is deterministic and
@@ -18,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/decimator/chain.h"
@@ -38,6 +43,11 @@ namespace dsadc::runtime {
 /// groups for the worker pool at 64+ channels.
 inline constexpr std::size_t kGroupWidth = 32;
 
+/// Frames per ChainBank::process_rows chunk: the interleaved buffer of a
+/// full-width group (1024 x 32 int64) stays cache-resident across the
+/// bank's stages.
+inline constexpr std::size_t kTransposeChunkFrames = 1024;
+
 /// Worker count for the runtime: DSADC_RUNTIME_THREADS when set (clamped
 /// to >= 1), else the hardware concurrency.
 std::size_t configured_threads();
@@ -53,6 +63,16 @@ class ChainBank {
   /// `data` holds modulator codes as channel-interleaved frames on entry
   /// (size a multiple of `lanes`) and output-format samples on return.
   void process_inplace(std::vector<std::int64_t>& data);
+
+  /// Lockstep transpose around process_inplace: `rows[lane]` points at
+  /// `frames` modulator codes for each of the `lanes()` lanes; each
+  /// lane's output samples are appended to `outs[lane]`. Runs in
+  /// kTransposeChunkFrames chunks through an owned interleave buffer
+  /// (the bank carries state across calls, so any chunking of the same
+  /// stream is bit-exact).
+  void process_rows(std::span<const std::int32_t* const> rows,
+                    std::size_t frames,
+                    std::span<std::vector<std::int64_t>> outs);
 
   void reset();
 
@@ -72,6 +92,8 @@ class ChainBank {
   decim::SaramakiHbfBank hbf_;
   decim::ScalingStage scaler_;
   decim::FirDecimatorBank equalizer_;
+  std::vector<std::int64_t> buf_;      ///< process_rows interleave scratch
+  std::vector<std::int64_t*> dst_;     ///< process_rows per-lane write heads
 };
 
 /// The streaming runtime: N channels, grouped into SoA banks, executed
@@ -104,8 +126,6 @@ class MultiChannelRuntime {
     std::size_t first = 0;  ///< first channel index
     std::size_t width = 0;  ///< lanes in this group (<= kGroupWidth)
     ChainBank bank;
-    std::vector<std::int64_t> buf;  ///< interleave scratch
-    std::vector<const std::int32_t*> rows;  ///< transpose input pointers
     /// Per-lane instrument handles, resolved once on first publish so the
     /// steady state never rebuilds metric-name strings (Registry handles
     /// are process-lifetime stable).

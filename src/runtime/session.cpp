@@ -302,43 +302,12 @@ void SessionRuntime::run_batch_round(Shard& shard, BatchGroup& g,
   const std::size_t width = g.members.size();
   round_txn.set_value(static_cast<std::int64_t>(frames * width));
 
-  // The round runs in chunks sized so the interleaved buffer stays
-  // cache-resident across the bank's stages (the bank carries state
-  // between calls, so any chunking of the same stream is bit-exact).
-  // Within a chunk both copies run frame-major: the bulk stream stays
-  // sequential (one cache line per 8 slots) while the other side fans
-  // across `width` lane streams -- lane-major order would touch a fresh
-  // line on every store once the chunk outgrows L1.
-  constexpr std::size_t kRoundChunkFrames = 1024;
   std::array<const std::int32_t*, kGroupWidth> codes{};
   for (std::size_t lane = 0; lane < width; ++lane) {
     codes[lane] = g.backlog[lane].front().codes.data();
   }
   std::vector<std::vector<std::int64_t>> outs(width);
-  for (std::size_t base = 0; base < frames; base += kRoundChunkFrames) {
-    const std::size_t chunk = std::min(kRoundChunkFrames, frames - base);
-    g.buf.resize(chunk * width);
-    std::int64_t* const buf = g.buf.data();
-    for (std::size_t f = 0; f < chunk; ++f) {
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        buf[f * width + lane] = codes[lane][base + f];
-      }
-    }
-    g.bank->process_inplace(g.buf);
-    const std::size_t chunk_out = g.buf.size() / width;
-    std::array<std::int64_t*, kGroupWidth> dst{};
-    for (std::size_t lane = 0; lane < width; ++lane) {
-      const std::size_t off = outs[lane].size();
-      outs[lane].resize(off + chunk_out);
-      dst[lane] = outs[lane].data() + off;
-    }
-    const std::int64_t* const src = g.buf.data();
-    for (std::size_t f = 0; f < chunk_out; ++f) {
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        dst[lane][f] = src[f * width + lane];
-      }
-    }
-  }
+  g.bank->process_rows({codes.data(), width}, frames, outs);
   const std::size_t out_frames = outs.empty() ? 0 : outs[0].size();
 
   // Deliver per lane, in lane order (deterministic for any worker count:

@@ -31,9 +31,9 @@
 // Batch serving (the service fast path): sessions that OPEN with
 // SessionJob::lockstep and share a config object form per-shard
 // BatchGroups. Once a group seals (first DATA frame), equal-length DATA
-// blocks present at every lane are interleaved into one SoA buffer and
-// run through a ChainBank -- the multichannel bank kernels
-// (scalar/AVX2/AVX-512 dispatched) -- then deinterleaved back to
+// blocks present at every lane run as one ChainBank::process_rows round
+// -- the same chunked interleave -> bank kernels (scalar/AVX2/AVX-512
+// dispatched) -> deinterleave loop MultiChannelRuntime uses -- back to
 // per-session results. Lane arithmetic is bit-identical to the scalar
 // chain, including fx saturate/round counter totals, so the fast path is
 // invisible except in throughput. Stragglers (deep uneven backlogs),
@@ -201,7 +201,6 @@ class SessionRuntime {
     /// steady_clock us when the backlog last became blocked (some lane
     /// waiting on a starved peer); 0 while empty or runnable.
     std::int64_t blocked_since_us = 0;
-    std::vector<std::int64_t> buf;  ///< interleave scratch
   };
 
   struct Shard {

@@ -1,12 +1,11 @@
-// Fixed-capacity lock-free ring buffers: single-producer/single-consumer
-// (SpscRing) and multi-producer/multi-consumer (MpmcRing).
+// Fixed-capacity lock-free multi-producer/multi-consumer ring buffer
+// (MpmcRing). The file name is historical; includers rely on it.
 //
-// The pipelined stage executor (pipeline.h) connects one worker per stage
-// group with SPSC rings. The protocol is the classic two-index SPSC
-// queue: the producer owns `tail_`, the consumer owns `head_`, and each
-// side reads the other's index with acquire ordering so the slot contents
-// published before the index update are visible. Capacity is fixed at
-// construction (rounded up to a power of two).
+// The session runtime's shard admission queues (session.h) use it: a
+// bounded Vyukov-style per-slot-sequence queue, where any number of
+// connection readers push work items and pool workers pop them. A single
+// producer's pushes are dequeued in push order (tickets are taken in
+// order), which is what preserves per-channel frame ordering end to end.
 //
 // The `close()` flag is a two-way end-of-stream/cancellation handshake:
 //
@@ -16,16 +15,6 @@
 //  * consumer-side close means "stop producing": a producer blocked in
 //    push() on a full ring observes the flag and returns false instead
 //    of spinning forever on a peer that will never drain it.
-//
-// The service admission path (src/service) uses MpmcRing: bounded
-// Vyukov-style per-slot-sequence queue, where any number of connection
-// readers push work items and pool workers pop them. A single producer's
-// pushes are dequeued in push order (tickets are taken in order), which
-// is what preserves per-channel frame ordering end to end.
-//
-// Determinism note: a ring delivers elements in exactly the order they
-// were pushed, so any chain of SPSC-connected sequential workers computes
-// the same function as running the stages serially, independent of timing.
 #pragma once
 
 #include <atomic>
@@ -37,88 +26,6 @@
 
 namespace dsadc::runtime {
 
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t capacity) {
-    std::size_t cap = 1;
-    while (cap < capacity) cap <<= 1;
-    buf_.resize(cap);
-    mask_ = cap - 1;
-  }
-
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-
-  /// Producer side. Moves from `v` on success; false when full or closed.
-  bool try_push(T& v) {
-    if (closed_.load(std::memory_order_acquire)) return false;
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) > mask_) return false;
-    buf_[tail & mask_] = std::move(v);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Producer side, blocking (spin + yield until space). Returns false --
-  /// without delivering `v` -- once the ring is closed, so a producer can
-  /// never deadlock against a consumer that has stopped draining.
-  bool push(T v) {
-    while (!try_push(v)) {
-      if (closed_.load(std::memory_order_acquire)) return false;
-      std::this_thread::yield();
-    }
-    return true;
-  }
-
-  /// Consumer side. False when currently empty.
-  bool try_pop(T& v) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_.load(std::memory_order_acquire)) return false;
-    v = std::move(buf_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side, blocking; false only at end-of-stream (closed and
-  /// drained).
-  bool pop(T& v) {
-    for (;;) {
-      if (try_pop(v)) return true;
-      if (closed_.load(std::memory_order_acquire)) {
-        // Re-check: the producer may have pushed between the failed
-        // try_pop and the close-flag read. Seeing closed==true (acquire)
-        // orders every push made before close() before this re-check, so
-        // the final partial block cannot be dropped.
-        if (try_pop(v)) return true;
-        return false;
-      }
-      std::this_thread::yield();
-    }
-  }
-
-  /// Either side: end-of-stream (producer) or cancellation (consumer).
-  void close() { closed_.store(true, std::memory_order_release); }
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
-  /// Approximate occupancy (exact when read by either endpoint thread
-  /// between its own operations).
-  std::size_t size() const {
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    return tail - head;
-  }
-
-  std::size_t capacity() const { return mask_ + 1; }
-
- private:
-  std::vector<T> buf_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};  ///< consumer cursor
-  alignas(64) std::atomic<std::size_t> tail_{0};  ///< producer cursor
-  alignas(64) std::atomic<bool> closed_{false};
-};
-
 /// Bounded multi-producer/multi-consumer ring (Vyukov per-slot sequence
 /// numbers). Each slot carries a sequence counter: `seq == pos` means the
 /// slot is free for the producer holding ticket `pos`, `seq == pos + 1`
@@ -126,8 +33,8 @@ class SpscRing {
 /// consumers claim tickets with a CAS on their cursor, so the queue is
 /// lock-free and elements leave in ticket (i.e. global FIFO) order.
 ///
-/// Close semantics mirror SpscRing: after close(), pushes fail, blocking
-/// pop() drains the remaining elements and then returns false.
+/// Close semantics are the handshake above: after close(), pushes fail,
+/// blocking pop() drains the remaining elements and then returns false.
 ///
 /// Minimum capacity is 2: with a single slot the producer's "free"
 /// condition (seq == ticket) and the consumer's "occupied" condition
@@ -213,6 +120,10 @@ class MpmcRing {
     for (;;) {
       if (try_pop(v)) return true;
       if (closed_.load(std::memory_order_acquire)) {
+        // Re-check: a producer may have pushed between the failed
+        // try_pop and the close-flag read. Seeing closed==true (acquire)
+        // orders every push made before close() before this re-check, so
+        // the final partial block cannot be dropped.
         if (try_pop(v)) return true;
         return false;
       }

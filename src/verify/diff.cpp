@@ -300,7 +300,7 @@ bool matches_with_lag(const std::vector<std::int64_t>& rtl,
 }
 
 DiffOutcome run_case(const StageCase& c) {
-  obs::Span span(std::string("case_") + stage_kind_name(c.kind), "verify");
+  obs::Span span(std::string("case_") + stage_kind_name(c.kind));
   DSADC_OBS_COUNT("verify.cases");
   try {
     switch (c.kind) {

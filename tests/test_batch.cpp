@@ -176,8 +176,10 @@ TEST_F(BatchTest, LockstepGroupsServeBitExact) {
   const auto cfg =
       std::make_shared<const decim::ChainConfig>(decim::paper_chain_config());
   constexpr std::size_t kSessions = 16;
-  constexpr std::size_t kBlocks = 6;
+  constexpr std::size_t kBlocks = 7;
   constexpr std::size_t kFrames = 256;
+  // The last block crosses two ChainBank::process_rows chunk edges.
+  constexpr std::size_t kLastFrames = 2500;
 
   std::mt19937_64 rng(77);
   std::vector<std::vector<std::vector<std::int32_t>>> blocks(kSessions);
@@ -185,7 +187,8 @@ TEST_F(BatchTest, LockstepGroupsServeBitExact) {
     const auto cls = static_cast<verify::StimulusClass>(
         s % verify::kNumStimulusClasses);
     for (std::size_t b = 0; b < kBlocks; ++b) {
-      blocks[s].push_back(stimulus_codes(cls, kFrames, rng));
+      blocks[s].push_back(stimulus_codes(
+          cls, b + 1 < kBlocks ? kFrames : kLastFrames, rng));
     }
   }
 

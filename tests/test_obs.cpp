@@ -1,20 +1,27 @@
 // Tests for the src/obs instrumentation layer: metrics registry semantics
-// (including exactness under concurrent writers), Chrome trace-event JSON
-// well-formedness (round-tripped through the verify JSON parser), the
-// leveled logger, and the bench telemetry record format.
+// (including exactness under concurrent writers), trace spans landing in
+// the store and the DSADC_TRACE_OUT Chrome export (round-tripped through
+// the verify JSON parser and obs_report), the leveled logger, and the
+// bench telemetry record format.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "src/core/flow.h"
 #include "src/obs/bench_telemetry.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
+#include "src/obs/store/reader.h"
+#include "src/obs/store/store.h"
 #include "src/obs/trace.h"
 #include "src/verify/json.h"
 
@@ -28,11 +35,9 @@ class ObsTest : public ::testing::Test {
     if (!obs::kCompiledOn) GTEST_SKIP() << "instrumentation compiled out";
     obs::set_enabled(true);
     obs::Registry::instance().reset_all();
-    obs::clear_trace();
   }
   void TearDown() override {
     if (!obs::kCompiledOn) return;
-    obs::set_trace_enabled(false);
     obs::set_log_sink({});
     obs::set_log_level(obs::LogLevel::kWarn);
   }
@@ -143,73 +148,107 @@ TEST_F(ObsTest, DisabledSwitchGatesCounting) {
             1u);
 }
 
-TEST_F(ObsTest, TraceJsonRoundTrips) {
-  obs::set_trace_enabled(true);
-  {
-    obs::Span outer("outer_phase", "design");
-    obs::Span inner("inner \"quoted\"\\phase", "verify");
-  }
-  EXPECT_EQ(obs::trace_event_count(), 2u);
-  const verify::Json j = verify::json_parse(obs::trace_json());
-  EXPECT_EQ(j.at("displayTimeUnit").as_string(), "ms");
-  const verify::Json& events = j.at("traceEvents");
-  ASSERT_EQ(events.size(), 2u);
-  // Spans record on destruction: inner closes first.
-  EXPECT_EQ(events.at(0).at("name").as_string(), "inner \"quoted\"\\phase");
-  EXPECT_EQ(events.at(0).at("cat").as_string(), "verify");
-  EXPECT_EQ(events.at(1).at("name").as_string(), "outer_phase");
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events.at(i).at("ph").as_string(), "X");
-    EXPECT_GE(events.at(i).at("dur").as_int(), 0);
-    EXPECT_GE(events.at(i).at("ts").as_int(), 0);
-  }
-}
-
-TEST_F(ObsTest, TraceDisabledRecordsNothing) {
-  obs::set_trace_enabled(false);
-  { DSADC_TRACE_SPAN("invisible", "test"); }
-  EXPECT_EQ(obs::trace_event_count(), 0u);
-  // Valid (empty) document even with no events.
-  const verify::Json j = verify::json_parse(obs::trace_json());
-  EXPECT_EQ(j.at("traceEvents").size(), 0u);
-}
-
-TEST_F(ObsTest, TraceBufferCapDropsAndCounts) {
-  obs::set_trace_enabled(true);
-  const std::size_t old_cap = obs::trace_max_events();
-  obs::set_trace_max_events(3);
-  for (int i = 0; i < 5; ++i) {
-    obs::trace_record("capped", "test", i, 1);
-  }
-  EXPECT_EQ(obs::trace_event_count(), 3u);
-  EXPECT_EQ(obs::trace_dropped_count(), 2u);
-  // The dropped tally resets with the buffer.
-  obs::clear_trace();
-  EXPECT_EQ(obs::trace_dropped_count(), 0u);
-  obs::set_trace_max_events(old_cap);
-}
-
-TEST_F(ObsTest, LiteralSpanRecordsWithoutCopy) {
-  obs::set_trace_enabled(true);
-  { DSADC_TRACE_SPAN("literal_span", "test"); }
-  ASSERT_EQ(obs::trace_event_count(), 1u);
-  const verify::Json j = verify::json_parse(obs::trace_json());
-  EXPECT_EQ(j.at("traceEvents").at(0).at("name").as_string(), "literal_span");
-  EXPECT_EQ(j.at("traceEvents").at(0).at("cat").as_string(), "test");
-}
-
-TEST_F(ObsTest, WriteTraceProducesParsableFile) {
-  obs::set_trace_enabled(true);
-  { obs::Span s("file_span", "test"); }
-  const std::string path =
-      ::testing::TempDir() + "/dsadc_test_trace.json";
-  ASSERT_TRUE(obs::write_trace(path));
+std::string read_file(const std::filesystem::path& path) {
   std::ifstream in(path);
   std::stringstream ss;
   ss << in.rdbuf();
-  const verify::Json j = verify::json_parse(ss.str());
-  EXPECT_EQ(j.at("traceEvents").at(0).at("name").as_string(), "file_span");
-  std::remove(path.c_str());
+  return ss.str();
+}
+
+/// A fresh empty directory under the gtest temp dir.
+std::filesystem::path fresh_dir(const std::string& tag) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   ("dsadc_test_obs_" + tag + "_" + std::to_string(getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST_F(ObsTest, SpanNamesLandInOpenStore) {
+  const auto dir = fresh_dir("spans");
+  ASSERT_TRUE(obs::store::open(dir.string()));
+  { DSADC_TRACE_SPAN("literal_span"); }
+  { obs::Span s(std::string("string_") + "span"); }
+  obs::store::close();
+
+  const obs::store::StoreReader reader(dir.string());
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  std::multiset<std::string> names;
+  reader.visit(obs::store::Category::kFlow, [&](const obs::store::Event& e) {
+    names.insert(reader.name(e.name));
+    EXPECT_GE(e.dur_us, 0);
+  });
+  EXPECT_EQ(names, (std::multiset<std::string>{"literal_span", "string_span"}));
+  std::filesystem::remove_all(dir);
+}
+
+// Child process for the DSADC_TRACE_OUT tests below (disabled, so only
+// run_trace_child runs it): the paper's design flow under whatever trace
+// environment the parent set.
+TEST(TraceChild, DISABLED_DesignFlow) {
+  const char* out = std::getenv("DSADC_TRACE_OUT");
+  EXPECT_EQ(obs::store::enabled(), out != nullptr && out[0] != '\0');
+  (void)core::DesignFlow::design(mod::paper_modulator_spec(),
+                                 mod::paper_decimator_spec());
+}
+
+/// Runs TraceChild.DISABLED_DesignFlow in a fresh process with both
+/// store variables cleared, then `env` (NAME=value words) applied, and
+/// TMPDIR pointed at `tmpdir`. Returns the exit status.
+int run_trace_child(const std::string& env,
+                    const std::filesystem::path& tmpdir) {
+  const std::string self = std::filesystem::read_symlink("/proc/self/exe");
+  const std::string cmd =
+      "env -u DSADC_STORE_OUT -u DSADC_TRACE_OUT TMPDIR='" + tmpdir.string() +
+      "' " + env + " '" + self +
+      "' --gtest_also_run_disabled_tests"
+      " --gtest_filter=TraceChild.DISABLED_DesignFlow > /dev/null";
+  return std::system(cmd.c_str());
+}
+
+TEST_F(ObsTest, TraceOutWritesChromeFileFromStore) {
+  const auto dir = fresh_dir("trace_out");
+  const auto tmpdir = dir / "tmp";
+  std::filesystem::create_directories(tmpdir);
+  const auto trace = dir / "trace.json";
+  ASSERT_EQ(run_trace_child("DSADC_TRACE_OUT='" + trace.string() + "'",
+                            tmpdir),
+            0);
+  EXPECT_TRUE(std::filesystem::is_empty(tmpdir))
+      << "the temp-dir store is removed after the export";
+
+  const verify::Json j = verify::json_parse(read_file(trace));
+  const verify::Json& events = j.at("traceEvents");
+  bool found = false;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const verify::Json& e = events.at(i);
+    if (e.at("name").as_string() != "design_flow") continue;
+    found = true;
+    EXPECT_EQ(e.at("ph").as_string(), "X");
+    EXPECT_EQ(e.at("cat").as_string(), "flow");
+    EXPECT_GT(e.at("dur").as_int(), 0);
+  }
+  EXPECT_TRUE(found) << "no design_flow span in " << trace;
+
+  const auto report = dir / "report.json";
+  const std::string cmd = std::string("'") + DSADC_OBS_REPORT_PATH +
+                          "' --bench-dir '" + dir.string() + "' --trace '" +
+                          trace.string() + "' -o '" + report.string() +
+                          "' > /dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  EXPECT_EQ(verify::json_parse(read_file(report))
+                .at("trace")
+                .at("event_count")
+                .as_int(),
+            static_cast<std::int64_t>(events.size()));
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ObsTest, NoTraceEnvRecordsNothing) {
+  const auto dir = fresh_dir("no_env");
+  ASSERT_EQ(run_trace_child("", dir), 0);  // child asserts the store is off
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << "no store was opened";
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ObsTest, LoggerLevelFilteringAndSink) {

@@ -1,8 +1,11 @@
-// Multi-channel runtime + pipelined executor: bit-exactness against the
-// scalar DecimationChain (outputs AND fx saturation/round counter totals),
-// determinism across worker counts, and the SPSC ring protocol.
+// Multi-channel runtime: bit-exactness against the scalar DecimationChain
+// (outputs AND fx saturation/round counter totals), determinism across
+// worker counts, the ChainBank transpose chunk edges, and the MPMC ring
+// protocol.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <random>
@@ -14,7 +17,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/runtime/multichannel.h"
-#include "src/runtime/pipeline.h"
 #include "src/runtime/spsc.h"
 #include "src/verify/stimulus.h"
 
@@ -52,8 +54,8 @@ std::vector<std::int32_t> stimulus_codes(verify::StimulusClass c,
 }
 
 /// The fx event-counter totals the chain's requantization sites produce.
-/// Counter names are stable; equality of the whole map proves the bank /
-/// pipelined kernels made the identical per-sample round and saturate
+/// Counter names are stable; equality of the whole map proves the bank
+/// kernels made the identical per-sample round and saturate
 /// decisions as the scalar chain.
 std::map<std::string, std::uint64_t> fx_snapshot() {
   static const char* kSites[] = {"chain_hbf_in", "hbf_in",     "hbf_product",
@@ -81,109 +83,6 @@ class RuntimeTest : public ::testing::Test {
   }
   void TearDown() override { set_runtime_threads(nullptr); }
 };
-
-// --- SPSC ring protocol -------------------------------------------------
-
-TEST(SpscRing, FifoSingleThread) {
-  runtime::SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  int v = 0;
-  EXPECT_FALSE(ring.try_pop(v));
-  for (int i = 0; i < 4; ++i) {
-    int x = i;
-    EXPECT_TRUE(ring.try_push(x));
-  }
-  int x = 99;
-  EXPECT_FALSE(ring.try_push(x)) << "ring should be full";
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.try_pop(v));
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  runtime::SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRing, CloseDrainsRemainingElements) {
-  runtime::SpscRing<int> ring(8);
-  for (int i = 0; i < 3; ++i) {
-    int x = i;
-    ASSERT_TRUE(ring.try_push(x));
-  }
-  ring.close();
-  int v = -1;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(ring.pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.pop(v)) << "closed and drained";
-}
-
-TEST(SpscRing, ThreadedFifoOrder) {
-  runtime::SpscRing<std::size_t> ring(4);  // small: forces backpressure
-  constexpr std::size_t kN = 20000;
-  std::thread producer([&ring] {
-    for (std::size_t i = 0; i < kN; ++i) ring.push(i);
-    ring.close();
-  });
-  std::size_t expected = 0;
-  std::size_t v = 0;
-  while (ring.pop(v)) {
-    ASSERT_EQ(v, expected);
-    ++expected;
-  }
-  producer.join();
-  EXPECT_EQ(expected, kN);
-}
-
-TEST(SpscRing, ProducerCloseWhileConsumerBlocksDeliversFinalBlock) {
-  // The close-flag race the service depends on: a consumer blocked in
-  // pop() on an empty ring must receive an element pushed immediately
-  // before close() -- the final partial block -- and only then get
-  // end-of-stream. No deadlock, no drop, on any interleaving.
-  for (int trial = 0; trial < 200; ++trial) {
-    runtime::SpscRing<int> ring(8);
-    std::atomic<bool> consumer_ready{false};
-    std::vector<int> got;
-    std::thread consumer([&] {
-      consumer_ready.store(true);
-      int v = 0;
-      while (ring.pop(v)) got.push_back(v);  // blocks on empty
-    });
-    while (!consumer_ready.load()) std::this_thread::yield();
-    int final_block = 41;
-    ASSERT_TRUE(ring.try_push(final_block));
-    ring.close();  // push-then-close: EOS after the final element
-    consumer.join();
-    ASSERT_EQ(got, std::vector<int>{41}) << "trial " << trial;
-  }
-}
-
-TEST(SpscRing, ConsumerCloseUnblocksFullRingProducer) {
-  // The other direction: a producer stuck in push() on a full ring whose
-  // consumer cancels must return false instead of spinning forever.
-  runtime::SpscRing<int> ring(2);
-  for (int i = 0; i < 2; ++i) {
-    int v = i;
-    ASSERT_TRUE(ring.try_push(v));
-  }
-  std::atomic<bool> pushed{false};
-  std::atomic<bool> push_result{true};
-  std::thread producer([&] {
-    push_result.store(ring.push(99));  // full: blocks until close
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(pushed.load()) << "push should be blocked on a full ring";
-  ring.close();
-  producer.join();
-  EXPECT_FALSE(push_result.load()) << "push after close must report failure";
-  int v = 0;
-  EXPECT_FALSE(ring.try_push(v)) << "pushes fail once closed";
-}
 
 // --- MPMC ring (service admission queues) -------------------------------
 
@@ -247,6 +146,52 @@ TEST(MpmcRing, ManyProducersManyConsumersLoseNothing) {
   }
   EXPECT_EQ(count, kTotal);
   EXPECT_EQ(sum, kTotal * (kTotal + 1) / 2) << "every element exactly once";
+}
+
+TEST(MpmcRing, ProducerCloseWhileConsumerBlocksDeliversFinalBlock) {
+  // The close-flag race the service depends on: a consumer blocked in
+  // pop() on an empty ring must receive an element pushed immediately
+  // before close() -- the final partial block -- and only then get
+  // end-of-stream. No deadlock, no drop, on any interleaving.
+  for (int trial = 0; trial < 200; ++trial) {
+    runtime::MpmcRing<int> ring(8);
+    std::atomic<bool> consumer_ready{false};
+    std::vector<int> got;
+    std::thread consumer([&] {
+      consumer_ready.store(true);
+      int v = 0;
+      while (ring.pop(v)) got.push_back(v);  // blocks on empty
+    });
+    while (!consumer_ready.load()) std::this_thread::yield();
+    int final_block = 41;
+    ASSERT_TRUE(ring.try_push(final_block));
+    ring.close();  // push-then-close: EOS after the final element
+    consumer.join();
+    ASSERT_EQ(got, std::vector<int>{41}) << "trial " << trial;
+  }
+}
+
+TEST(MpmcRing, ConsumerCloseUnblocksFullRingProducer) {
+  // The other direction: a producer stuck in push() on a full ring whose
+  // consumer cancels must return false instead of spinning forever.
+  runtime::MpmcRing<int> ring(2);
+  for (int i = 0; i < 2; ++i) {
+    int v = i;
+    ASSERT_TRUE(ring.try_push(v));
+  }
+  std::atomic<bool> pushed{false};
+  std::atomic<bool> push_result{true};
+  std::thread producer([&] {
+    push_result.store(ring.push(99));  // full: blocks until close
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(pushed.load()) << "push should be blocked on a full ring";
+  ring.close();
+  producer.join();
+  EXPECT_FALSE(push_result.load()) << "push after close must report failure";
+  int v = 0;
+  EXPECT_FALSE(ring.try_push(v)) << "pushes fail once closed";
 }
 
 TEST(MpmcRing, CapacityOneRoundsUpToTwo) {
@@ -415,110 +360,64 @@ TEST_F(RuntimeTest, MultiChannelFuzzMatchesScalar) {
   }
 }
 
-// --- Pipelined stage executor -------------------------------------------
+// --- ChainBank lockstep transpose ---------------------------------------
 
-TEST_F(RuntimeTest, PipelinedMatchesScalarChainAllStimuli) {
+// process_rows must be bit-exact on both sides of every kTransposeChunkFrames
+// edge. One bank per width is fed the frame counts in sequence, so later
+// calls also start mid-cycle in every stage's decimation phase; each call's
+// appended output and the whole run's fx totals must match one scalar
+// chain per lane.
+TEST_F(RuntimeTest, ProcessRowsChunkEdgesMatchScalarChains) {
+  static_assert(runtime::kTransposeChunkFrames == 1024);
   const auto cfg = decim::paper_chain_config();
-  constexpr std::size_t kFrames = 8192;
-  const std::uint32_t seed = fuzz_seed(53);
+  const std::size_t kFrameCounts[] = {0, 1, 1023, 1024, 1025, 2500};
+  std::mt19937_64 rng(fuzz_seed(191));
 
-  for (int ci = 0; ci < verify::kNumStimulusClasses; ++ci) {
-    const auto cls = static_cast<verify::StimulusClass>(ci);
-    std::mt19937_64 rng(seed + static_cast<std::uint32_t>(ci));
-    const auto codes = stimulus_codes(cls, kFrames, rng);
-
-    obs::Registry::instance().reset_all();
-    decim::DecimationChain chain(cfg);
-    const auto ref = chain.process(codes);
-    const auto ref_fx = fx_snapshot();
-
-    set_runtime_threads("8");  // one worker per stage (7 stages)
-    obs::Registry::instance().reset_all();
-    runtime::PipelinedChain pipe(cfg, /*block_frames=*/512);
-    const auto got = pipe.process(codes);
-    const auto got_fx = fx_snapshot();
-
-    ASSERT_EQ(got, ref) << "class " << verify::stimulus_name(cls);
-    EXPECT_EQ(got_fx, ref_fx) << "class " << verify::stimulus_name(cls);
-  }
-}
-
-TEST_F(RuntimeTest, PipelinedDeterministicAcrossWorkersAndBlockSizes) {
-  const auto cfg = decim::paper_chain_config();
-  const std::uint32_t seed = fuzz_seed(67);
-  std::mt19937_64 rng(seed);
-  const auto codes =
-      stimulus_codes(verify::StimulusClass::kModulator, 10000, rng);
-
-  decim::DecimationChain chain(cfg);
-  const auto ref = chain.process(codes);
-
-  for (const char* threads : {"1", "2", "8"}) {
-    for (const std::size_t block : {std::size_t{256}, std::size_t{1024}}) {
-      set_runtime_threads(threads);
-      runtime::PipelinedChain pipe(cfg, block);
-      const auto got = pipe.process(codes);
-      ASSERT_EQ(got, ref) << "threads=" << threads << " block=" << block;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{32}}) {
+    // calls[i][lane]: lane's codes for the i-th call.
+    std::vector<std::vector<std::vector<std::int32_t>>> calls;
+    for (const std::size_t frames : kFrameCounts) {
+      calls.emplace_back();
+      for (std::size_t lane = 0; lane < width; ++lane) {
+        const auto cls = static_cast<verify::StimulusClass>(
+            lane % verify::kNumStimulusClasses);
+        calls.back().push_back(stimulus_codes(cls, frames, rng));
+      }
     }
+
+    obs::Registry::instance().reset_all();
+    std::vector<decim::DecimationChain> chains;
+    for (std::size_t lane = 0; lane < width; ++lane) chains.emplace_back(cfg);
+    std::vector<std::vector<std::vector<std::int64_t>>> want;
+    for (const auto& call : calls) {
+      want.emplace_back();
+      for (std::size_t lane = 0; lane < width; ++lane) {
+        want.back().push_back(chains[lane].process(call[lane]));
+      }
+    }
+    const auto want_fx = fx_snapshot();
+
+    obs::Registry::instance().reset_all();
+    runtime::ChainBank bank(cfg, width);
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      std::vector<const std::int32_t*> rows;
+      for (const auto& codes : calls[i]) rows.push_back(codes.data());
+      // A seeded sample checks that outputs are appended, not assigned.
+      std::vector<std::vector<std::int64_t>> outs(
+          width, std::vector<std::int64_t>{-7});
+      bank.process_rows(rows, kFrameCounts[i], outs);
+      for (std::size_t lane = 0; lane < width; ++lane) {
+        ASSERT_EQ(outs[lane].front(), -7);
+        const std::vector<std::int64_t> got(outs[lane].begin() + 1,
+                                            outs[lane].end());
+        ASSERT_EQ(got, want[i][lane])
+            << "width " << width << " frames " << kFrameCounts[i]
+            << " lane " << lane;
+      }
+    }
+    EXPECT_EQ(fx_snapshot(), want_fx) << "width " << width;
   }
-}
-
-TEST_F(RuntimeTest, PipelinedStreamingCarriesState) {
-  // Consecutive process() calls continue the stream (no state reset at
-  // call boundaries), exactly like the scalar chain.
-  const auto cfg = decim::paper_chain_config();
-  const std::uint32_t seed = fuzz_seed(83);
-  std::mt19937_64 rng(seed);
-  const auto a = stimulus_codes(verify::StimulusClass::kSine, 3000, rng);
-  const auto b = stimulus_codes(verify::StimulusClass::kStep, 2049, rng);
-
-  decim::DecimationChain chain(cfg);
-  set_runtime_threads("8");
-  runtime::PipelinedChain pipe(cfg, /*block_frames=*/512);
-  for (const auto* codes : {&a, &b}) {
-    const auto ref = chain.process(*codes);
-    const auto got = pipe.process(*codes);
-    ASSERT_EQ(got, ref);
-  }
-}
-
-TEST_F(RuntimeTest, PipelinedFuzzMatchesScalar) {
-  const auto cfg = decim::paper_chain_config();
-  const std::uint32_t seed = fuzz_seed(131);
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<std::size_t> len_dist(1, 6000);
-  std::uniform_int_distribution<std::size_t> block_dist(16, 2048);
-
-  set_runtime_threads("8");
-  for (int trial = 0; trial < 4; ++trial) {
-    const std::size_t frames = len_dist(rng);
-    const auto cls = verify::random_stimulus_class(rng);
-    const auto codes = stimulus_codes(cls, frames, rng);
-    decim::DecimationChain chain(cfg);
-    runtime::PipelinedChain pipe(cfg, block_dist(rng));
-    const auto ref = chain.process(codes);
-    const auto got = pipe.process(codes);
-    ASSERT_EQ(got, ref) << "trial " << trial << " class "
-                        << verify::stimulus_name(cls)
-                        << " (DSADC_FUZZ_SEED=" << seed << ")";
-  }
-}
-
-TEST_F(RuntimeTest, QueueDepthHistogramsArePopulated) {
-  const auto cfg = decim::paper_chain_config();
-  const std::uint32_t seed = fuzz_seed(149);
-  std::mt19937_64 rng(seed);
-  const auto codes =
-      stimulus_codes(verify::StimulusClass::kUniform, 8192, rng);
-
-  set_runtime_threads("4");
-  obs::Registry::instance().reset_all();
-  runtime::PipelinedChain pipe(cfg, /*block_frames=*/256);
-  (void)pipe.process(codes);
-  auto& reg = obs::Registry::instance();
-  // 4 workers -> rings q0..q4; every block passes through each ring.
-  const auto& h = reg.histogram("runtime.queue_depth.q0", {0, 1, 2, 4, 8});
-  EXPECT_GT(h.count(), 0u);
 }
 
 TEST_F(RuntimeTest, PerChannelThroughputGaugesArePublished) {
