@@ -116,18 +116,20 @@ FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
   // The flow grows the equalizer if the requested length cannot meet the
   // ripple spec (full-droop compensation up to the output Nyquist edge is
   // a steep target: the HBF alone is -6 dB at exactly fout/2).
-  DSADC_TRACE_SPAN("equalizer_design");
-  std::size_t eq_taps = options.equalizer_taps;
-  for (;;) {
-    const design::EqualizerResult eq =
-        design::design_droop_equalizer(eq_taps, droop, 0.4999);
-    cfg.equalizer_taps = eq.taps;
-    r.chain = cfg;
-    r.passband_ripple_db = composite_passband_ripple_db(
-        cfg, 0.05 * dspec.passband_edge_hz, dspec.passband_edge_hz);
-    r.ripple_ok = r.passband_ripple_db <= dspec.passband_ripple_db;
-    if (r.ripple_ok || !options.adapt_equalizer || eq_taps >= 161) break;
-    eq_taps += 16;
+  {
+    DSADC_TRACE_SPAN("equalizer_design");  // the loop only, not step 4
+    std::size_t eq_taps = options.equalizer_taps;
+    for (;;) {
+      const design::EqualizerResult eq =
+          design::design_droop_equalizer(eq_taps, droop, 0.4999);
+      cfg.equalizer_taps = eq.taps;
+      r.chain = cfg;
+      r.passband_ripple_db = composite_passband_ripple_db(
+          cfg, 0.05 * dspec.passband_edge_hz, dspec.passband_edge_hz);
+      r.ripple_ok = r.passband_ripple_db <= dspec.passband_ripple_db;
+      if (r.ripple_ok || !options.adapt_equalizer || eq_taps >= 161) break;
+      eq_taps += 16;
+    }
   }
 
   // --- Step 4: stopband check over the primary image band.

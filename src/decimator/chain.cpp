@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "src/decimator/simd.h"
 #include "src/dsp/freqz.h"
 #include "src/filterdesign/equalizer.h"
 #include "src/obs/metrics.h"
@@ -150,7 +151,10 @@ DecimationChain::DecimationChain(ChainConfig config)
                                       config_.equalizer_frac_bits),
                  /*decimation=*/1, config_.scaler_out_format,
                  config_.output_format),
-      cic_gain_log2_(cic_cascade_gain_log2(config_)) {
+      cic_gain_log2_(cic_cascade_gain_log2(config_)),
+      renorm_(cic_gain_log2_, config_.hbf_in_format,
+              fx::Rounding::kRoundNearest,
+              fx::event_counters("chain_hbf_in")) {
   const auto& stages = cic_.stages();
   sinc_names_.reserve(stages.size());
   for (std::size_t i = 0; i < stages.size(); ++i) {
@@ -225,12 +229,10 @@ std::vector<std::int64_t> DecimationChain::process(
   // --- Normalize the CIC gain (pure shift) into the HBF input format.
   // The CIC output in "code units" carries gain 2^cic_gain_log2_; treat it
   // as a fractional scale and round into hbf_in_format.
-  static const fx::EventCounters& ec_renorm = fx::event_counters("chain_hbf_in");
-  for (auto& v : buf_) {
-    v = fx::requantize(v, /*src_frac=*/cic_gain_log2_, config_.hbf_in_format,
-                       fx::Rounding::kRoundNearest, fx::Overflow::kSaturate,
-                       &ec_renorm);
-  }
+  soa::RequantTally renorm_tally;
+  simd::kernels().requant_rows(buf_.data(), buf_.size(), renorm_,
+                               renorm_tally);
+  renorm_tally.flush(renorm_);
 
   // --- Halfband decimate-by-2.
   hbf_.process_into(buf_, hbuf_);

@@ -19,6 +19,7 @@
 #include "src/decimator/fir.h"
 #include "src/decimator/hbf.h"
 #include "src/decimator/scaler.h"
+#include "src/decimator/soa.h"
 #include "src/filterdesign/saramaki.h"
 #include "src/obs/store/format.h"
 
@@ -130,6 +131,7 @@ class DecimationChain {
   ScalingStage scaler_;
   FirDecimator equalizer_;
   int cic_gain_log2_;  ///< log2 of the CIC cascade DC gain (a pure shift)
+  soa::Requant renorm_;  ///< CIC gain -> hbf_in_format (chain_hbf_in)
   /// Inter-stage scratch, reused across process() calls: once capacities
   /// have grown to the block size the steady state allocates nothing but
   /// the returned output vector.

@@ -33,14 +33,14 @@ std::vector<double> FixedTaps::to_real() const {
 }
 
 FirDecimator::FirDecimator(FixedTaps taps, int decimation, fx::Format in_fmt,
-                           fx::Format out_fmt, fx::Rounding rounding,
-                           fx::Overflow overflow)
+                           fx::Format out_fmt, fx::Rounding rounding)
     : taps_(std::move(taps)),
       decimation_(decimation),
       in_fmt_(in_fmt),
       out_fmt_(out_fmt),
       rounding_(rounding),
-      overflow_(overflow),
+      rq_(in_fmt.frac + taps_.frac_bits, out_fmt, rounding,
+          fx::event_counters("fir_out")),
       delay_(taps_.size(), 0) {
   if (decimation_ < 1) throw std::invalid_argument("FirDecimator: decimation >= 1");
   if (taps_.taps.empty()) throw std::invalid_argument("FirDecimator: empty taps");
@@ -71,7 +71,7 @@ bool FirDecimator::push(std::int64_t in, std::int64_t& out) {
   }
   static const fx::EventCounters& ec = fx::event_counters("fir_out");
   out = fx::requantize(acc, in_fmt_.frac + taps_.frac_bits, out_fmt_,
-                       rounding_, overflow_, &ec);
+                       rounding_, fx::Overflow::kSaturate, &ec);
   return true;
 }
 
@@ -88,7 +88,8 @@ void FirDecimator::process_into(std::span<const std::int64_t> in,
   // contiguous buffer so each output MAC is a linear dot product (no
   // per-tap circular modulo), computed only at the decimation phase's
   // emit positions. Accumulation order matches push() tap-for-tap; the
-  // full-precision int64 accumulator makes the sums bit-identical.
+  // full-precision int64 accumulator makes the sums bit-identical, and the
+  // inline requantize tallies push()'s round/saturate events per block.
   const std::size_t tap_count = taps_.size();
   // The prefix is the last tap_count-1 samples in chronological order;
   // delay_[pos_] itself (pushed tap_count samples ago) is already out of
@@ -99,8 +100,7 @@ void FirDecimator::process_into(std::span<const std::int64_t> in,
   }
   for (std::size_t i = 0; i < in.size(); ++i) ext_[tap_count - 1 + i] = in[i];
 
-  static const fx::EventCounters& ec = fx::event_counters("fir_out");
-  const int acc_frac = in_fmt_.frac + taps_.frac_bits;
+  soa::RequantTally tally;
   out.clear();
   out.reserve(in.size() / static_cast<std::size_t>(decimation_) + 1);
   const auto d = static_cast<std::size_t>(decimation_);
@@ -112,9 +112,9 @@ void FirDecimator::process_into(std::span<const std::int64_t> in,
     for (std::size_t k = 0; k < tap_count; ++k) {
       acc += taps_.taps[k] * window[-static_cast<std::ptrdiff_t>(k)];
     }
-    out.push_back(
-        fx::requantize(acc, acc_frac, out_fmt_, rounding_, overflow_, &ec));
+    out.push_back(soa::requantize(acc, rq_, tally));
   }
+  tally.flush(rq_);
 
   // Commit the streaming state exactly as the equivalent pushes would.
   for (std::size_t i = 0; i < in.size(); ++i) {
@@ -132,9 +132,8 @@ FirDecimatorBank::FirDecimatorBank(FixedTaps taps, int decimation,
     : taps_(std::move(taps)),
       decimation_(decimation),
       channels_(channels),
-      in_fmt_(in_fmt),
-      out_fmt_(out_fmt),
-      rounding_(rounding),
+      rq_(in_fmt.frac + taps_.frac_bits, out_fmt, rounding,
+          fx::event_counters("fir_out")),
       delay_(taps_.size() * channels, 0),
       acc_(channels, 0) {
   if (decimation_ < 1) {
@@ -197,17 +196,14 @@ void FirDecimatorBank::process_inplace(std::vector<std::int64_t>& data) {
   }
   std::copy_n(data.data(), frames * C, ext_.data() + (tap_count - 1) * C);
 
-  static const fx::EventCounters& ec = fx::event_counters("fir_out");
-  const soa::Requant rq(in_fmt_.frac + taps_.frac_bits, out_fmt_, rounding_,
-                        ec);
   soa::RequantTally tally;
 
   const auto d = static_cast<std::size_t>(decimation_);
   const std::size_t first = (d - static_cast<std::size_t>(phase_)) % d;
   const std::size_t n_out = simd::kernels().fir_emit(
       data.data(), ext_.data(), frames, C, taps_.taps.data(), tap_count,
-      first, d, acc_.data(), rq, tally);
-  tally.flush(rq);
+      first, d, acc_.data(), rq_, tally);
+  tally.flush(rq_);
   data.resize(n_out * C);
 
   // Streaming state: only the last tap_count input rows survive in the

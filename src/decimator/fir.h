@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "src/decimator/soa.h"
 #include "src/fixedpoint/fixed.h"
 
 namespace dsadc::decim {
@@ -28,11 +29,11 @@ struct FixedTaps {
 class FirDecimator {
  public:
   /// `out_fmt` is the output sample format; the accumulator's fractional
-  /// part (input frac + coeff frac) is rounded into it.
+  /// part (input frac + coeff frac) is rounded into it, saturating (like
+  /// every FIR datapath in the chain).
   FirDecimator(FixedTaps taps, int decimation, fx::Format in_fmt,
                fx::Format out_fmt,
-               fx::Rounding rounding = fx::Rounding::kRoundNearest,
-               fx::Overflow overflow = fx::Overflow::kSaturate);
+               fx::Rounding rounding = fx::Rounding::kRoundNearest);
 
   /// Push one input sample; true when an output is produced.
   bool push(std::int64_t in, std::int64_t& out);
@@ -61,7 +62,7 @@ class FirDecimator {
   int decimation_;
   fx::Format in_fmt_, out_fmt_;
   fx::Rounding rounding_;
-  fx::Overflow overflow_;
+  soa::Requant rq_;                  ///< block-kernel output requantizer
   std::vector<std::int64_t> delay_;  ///< circular history
   std::vector<std::int64_t> ext_;    ///< block-kernel window scratch
   std::size_t pos_ = 0;
@@ -98,8 +99,7 @@ class FirDecimatorBank {
   FixedTaps taps_;
   int decimation_;
   std::size_t channels_;
-  fx::Format in_fmt_, out_fmt_;
-  fx::Rounding rounding_;
+  soa::Requant rq_;                  ///< output requantizer (fir_out)
   std::vector<std::int64_t> delay_;  ///< tap_count x channels rows, circular
   std::vector<std::int64_t> ext_;    ///< window scratch rows
   std::vector<std::int64_t> acc_;    ///< per-channel accumulator row

@@ -32,6 +32,17 @@ HbfParams make_hbf_params(const design::SaramakiHbf& design, fx::Format in_fmt,
   if (p.internal_fmt.width > 62) {
     throw std::invalid_argument("SaramakiHbfDecimator: internal width > 62");
   }
+  p.rq_in = soa::Requant(in_fmt.frac, p.internal_fmt, fx::Rounding::kTruncate,
+                         fx::event_counters("hbf_in"));
+  p.rq_prod = soa::Requant(p.internal_fmt.frac + p.coeff_frac, p.prod_fmt,
+                           fx::Rounding::kTruncate,
+                           fx::event_counters("hbf_product"));
+  p.rq_int = soa::Requant(p.prod_fmt.frac, p.internal_fmt,
+                          fx::Rounding::kRoundNearest,
+                          fx::event_counters("hbf_internal"));
+  p.rq_out = soa::Requant(p.prod_fmt.frac, out_fmt,
+                          fx::Rounding::kRoundNearest,
+                          fx::event_counters("hbf_out"));
   const double scale = std::ldexp(1.0, p.coeff_frac);
   // Use the CSD-quantized coefficient values from the design: the datapath
   // must be bit-consistent with the shift-add network the RTL builds.
@@ -171,7 +182,9 @@ bool SaramakiHbfDecimator::push(std::int64_t in, std::int64_t& out) {
 }
 
 void SaramakiHbfDecimator::g2_block_pass(G2Block& b,
-                                         std::vector<std::int64_t>& stream) {
+                                         std::vector<std::int64_t>& stream,
+                                         soa::RequantTally& t_prod,
+                                         soa::RequantTally& t_int) {
   // Vector form of G2Block::step over a whole even-phase stream: the
   // circular history plus the incoming block become one contiguous
   // buffer, so every output is a linear symmetric MAC. Tap order and the
@@ -190,9 +203,10 @@ void SaramakiHbfDecimator::g2_block_pass(G2Block& b,
       const std::int64_t near = newest[-static_cast<std::ptrdiff_t>(n2 - j)];
       const std::int64_t far =
           newest[-static_cast<std::ptrdiff_t>(n2 + j - 1)];
-      acc += requantize_product(p_.f2_coeffs[j - 1] * (near + far));
+      acc += soa::requantize(p_.f2_coeffs[j - 1] * (near + far), p_.rq_prod,
+                             t_prod);
     }
-    stream[m] = requantize_internal(acc);
+    stream[m] = soa::requantize(acc, p_.rq_int, t_int);
   }
 
   // Streaming state write-back: the history holds the block's last 2*n2
@@ -222,10 +236,11 @@ void SaramakiHbfDecimator::process_into(std::span<const std::int64_t> in,
   //   C. branch-alignment delay lines, one pass per branch;
   //   D. the f1 output combination.
   // Every sample sees the identical operations in the identical order as
-  // push(), so outputs, state, and fx event-counter totals all match.
+  // push(), so outputs, state, and fx event-counter totals all match; the
+  // events are tallied per site and flushed once at the end of the block.
+  soa::RequantTally t_in, t_prod, t_int, t_out;
 
   // --- A: promote into the guard format and split phases.
-  static const fx::EventCounters& ec_in = fx::event_counters("hbf_in");
   std::vector<std::int64_t>& even = even_scratch_;
   std::vector<std::int64_t>& half_path = half_scratch_;
   even.clear();
@@ -233,10 +248,7 @@ void SaramakiHbfDecimator::process_into(std::span<const std::int64_t> in,
   even.reserve(in.size() / 2 + 1);
   half_path.reserve(in.size() / 2 + 1);
   for (const std::int64_t s : in) {
-    const std::int64_t x =
-        fx::requantize(s, p_.in_fmt.frac, p_.internal_fmt,
-                       fx::Rounding::kTruncate, fx::Overflow::kSaturate,
-                       &ec_in);
+    const std::int64_t x = soa::requantize(s, p_.rq_in, t_in);
     if (phase_ == 1) {
       odd_delay_[opos_] = x;
       opos_ = (opos_ + 1) % odd_delay_.size();
@@ -253,7 +265,7 @@ void SaramakiHbfDecimator::process_into(std::span<const std::int64_t> in,
   // --- B: G2 cascade; odd cascade outputs w1, w3, ... feed the branches.
   std::vector<std::int64_t>& cur = even;
   for (std::size_t k = 0; k < blocks_.size(); ++k) {
-    g2_block_pass(blocks_[k], cur);
+    g2_block_pass(blocks_[k], cur, t_prod, t_int);
     if (k % 2 == 0) {
       branch_scratch_[k / 2].assign(cur.begin(), cur.end());
     }
@@ -272,17 +284,20 @@ void SaramakiHbfDecimator::process_into(std::span<const std::int64_t> in,
   }
 
   // --- D: 0.5 path + f1 taps in the power basis.
-  static const fx::EventCounters& ec_out = fx::event_counters("hbf_out");
   out.resize(half_path.size());
   for (std::size_t m = 0; m < out.size(); ++m) {
-    std::int64_t acc = requantize_product(p_.half_coeff * half_path[m]);
+    std::int64_t acc =
+        soa::requantize(p_.half_coeff * half_path[m], p_.rq_prod, t_prod);
     for (std::size_t i = 0; i < p_.n1; ++i) {
-      acc += requantize_product(p_.f1_coeffs[i] * branch_scratch_[i][m]);
+      acc += soa::requantize(p_.f1_coeffs[i] * branch_scratch_[i][m],
+                             p_.rq_prod, t_prod);
     }
-    out[m] = fx::requantize(acc, p_.prod_fmt.frac, p_.out_fmt,
-                            fx::Rounding::kRoundNearest,
-                            fx::Overflow::kSaturate, &ec_out);
+    out[m] = soa::requantize(acc, p_.rq_out, t_out);
   }
+  t_in.flush(p_.rq_in);
+  t_prod.flush(p_.rq_prod);
+  t_int.flush(p_.rq_int);
+  t_out.flush(p_.rq_out);
 }
 
 SaramakiHbfBank::SaramakiHbfBank(const design::SaramakiHbf& design,
@@ -357,7 +372,9 @@ void SaramakiHbfBank::export_lane(std::size_t lane,
 }
 
 void SaramakiHbfBank::g2_bank_pass(std::size_t block,
-                                   std::vector<std::int64_t>& stream) {
+                                   std::vector<std::int64_t>& stream,
+                                   soa::RequantTally& t_prod,
+                                   soa::RequantTally& t_int) {
   // g2_block_pass with every sample widened to a row of C channels. The
   // per-product requantize runs inline per lane in the scalar tap order,
   // with events tallied in bulk.
@@ -373,19 +390,9 @@ void SaramakiHbfBank::g2_bank_pass(std::size_t block,
   }
   std::copy_n(stream.data(), frames * C, g2_ext_.data() + n * C);
 
-  static const fx::EventCounters& ec_prod = fx::event_counters("hbf_product");
-  static const fx::EventCounters& ec_int = fx::event_counters("hbf_internal");
-  const soa::Requant rq_prod(p_.internal_fmt.frac + p_.coeff_frac, p_.prod_fmt,
-                             fx::Rounding::kTruncate, ec_prod);
-  const soa::Requant rq_int(p_.prod_fmt.frac, p_.internal_fmt,
-                            fx::Rounding::kRoundNearest, ec_int);
-  soa::RequantTally t_prod, t_int;
-
   simd::kernels().hbf_g2(stream.data(), g2_ext_.data(), frames, C,
-                         p_.f2_coeffs.data(), p_.f2_coeffs.size(), rq_prod,
-                         rq_int, t_prod, t_int);
-  t_prod.flush(rq_prod);
-  t_int.flush(rq_int);
+                         p_.f2_coeffs.data(), p_.f2_coeffs.size(), p_.rq_prod,
+                         p_.rq_int, t_prod, t_int);
 
   // Streaming state write-back, row-wise.
   const std::size_t advanced = (pos + frames) % n;
@@ -404,14 +411,12 @@ void SaramakiHbfBank::process_inplace(std::vector<std::int64_t>& data) {
   }
   const std::size_t frames = data.size() / C;
 
+  // Events are tallied per site and flushed once at the end of the block.
+  soa::RequantTally t_in, t_prod, t_int, t_out;
+
   // --- A: promote into the guard format, then split phase rows through
   // the 0.5-path delay line in push order.
-  static const fx::EventCounters& ec_in = fx::event_counters("hbf_in");
-  const soa::Requant rq_in(p_.in_fmt.frac, p_.internal_fmt,
-                           fx::Rounding::kTruncate, ec_in);
-  soa::RequantTally t_in;
-  simd::kernels().requant_rows(data.data(), data.size(), rq_in, t_in);
-  t_in.flush(rq_in);
+  simd::kernels().requant_rows(data.data(), data.size(), p_.rq_in, t_in);
 
   even_scratch_.clear();
   half_scratch_.clear();
@@ -437,7 +442,7 @@ void SaramakiHbfBank::process_inplace(std::vector<std::int64_t>& data) {
   // --- B: G2 cascade over even rows.
   std::vector<std::int64_t>& cur = even_scratch_;
   for (std::size_t k = 0; k < block_hist_.size(); ++k) {
-    g2_bank_pass(k, cur);
+    g2_bank_pass(k, cur, t_prod, t_int);
     if (k % 2 == 0) {
       branch_scratch_[k / 2].assign(cur.begin(), cur.end());
     }
@@ -458,22 +463,17 @@ void SaramakiHbfBank::process_inplace(std::vector<std::int64_t>& data) {
   }
 
   // --- D: 0.5 path + f1 taps; output rows overwrite `data`.
-  static const fx::EventCounters& ec_out = fx::event_counters("hbf_out");
-  const soa::Requant rq_prod(p_.internal_fmt.frac + p_.coeff_frac, p_.prod_fmt,
-                             fx::Rounding::kTruncate,
-                             fx::event_counters("hbf_product"));
-  const soa::Requant rq_out(p_.prod_fmt.frac, p_.out_fmt,
-                            fx::Rounding::kRoundNearest, ec_out);
-  soa::RequantTally t_prod, t_out;
   data.resize(out_frames * C);
   branch_rows_.clear();
   for (const auto& b : branch_scratch_) branch_rows_.push_back(b.data());
   simd::kernels().hbf_out(data.data(), half_scratch_.data(),
                           branch_rows_.data(), p_.n1, p_.half_coeff,
-                          p_.f1_coeffs.data(), out_frames, C, rq_prod, rq_out,
-                          t_prod, t_out);
-  t_prod.flush(rq_prod);
-  t_out.flush(rq_out);
+                          p_.f1_coeffs.data(), out_frames, C, p_.rq_prod,
+                          p_.rq_out, t_prod, t_out);
+  t_in.flush(p_.rq_in);
+  t_prod.flush(p_.rq_prod);
+  t_int.flush(p_.rq_int);
+  t_out.flush(p_.rq_out);
 }
 
 }  // namespace dsadc::decim

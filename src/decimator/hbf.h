@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/decimator/fir.h"
+#include "src/decimator/soa.h"
 #include "src/filterdesign/saramaki.h"
 #include "src/fixedpoint/fixed.h"
 
@@ -29,7 +30,9 @@ namespace dsadc::decim {
 namespace hbf_detail {
 
 /// Everything derived from (design, formats, coeff/guard precision) that
-/// the scalar decimator and the multi-channel bank share.
+/// the scalar decimator and the multi-channel bank share. Throws
+/// std::invalid_argument for designs or formats the block kernels cannot
+/// run, so both forms refuse the same configs at construction.
 struct HbfParams {
   std::vector<std::int64_t> f2_coeffs;  ///< integer subfilter taps
   std::vector<std::int64_t> f1_coeffs;  ///< integer outer taps (power basis)
@@ -38,6 +41,10 @@ struct HbfParams {
   std::size_t n1 = 0, n2 = 0, d2 = 0, big_d = 0;
   fx::Format in_fmt, out_fmt, internal_fmt;
   fx::Format prod_fmt;  ///< post-multiplier format (narrow adder tree)
+  /// Block-kernel requantizers for the four sites: input promotion
+  /// (hbf_in), post-multiplier truncation (hbf_product), G2 output
+  /// (hbf_internal) and the final output (hbf_out).
+  soa::Requant rq_in, rq_prod, rq_int, rq_out;
 };
 
 HbfParams make_hbf_params(const design::SaramakiHbf& design, fx::Format in_fmt,
@@ -101,7 +108,9 @@ class SaramakiHbfDecimator {
   std::int64_t requantize_internal(std::int64_t acc) const;
   /// Vector pass of `step` + requantize_internal over a whole even-phase
   /// stream, updating `b`'s streaming state; rewrites `stream` in place.
-  void g2_block_pass(G2Block& b, std::vector<std::int64_t>& stream);
+  /// Round/saturate events accumulate in the caller's tallies.
+  void g2_block_pass(G2Block& b, std::vector<std::int64_t>& stream,
+                     soa::RequantTally& t_prod, soa::RequantTally& t_int);
 
   hbf_detail::HbfParams p_;
 
@@ -149,7 +158,8 @@ class SaramakiHbfBank {
   std::size_t group_delay() const { return p_.big_d; }
 
  private:
-  void g2_bank_pass(std::size_t block, std::vector<std::int64_t>& stream);
+  void g2_bank_pass(std::size_t block, std::vector<std::int64_t>& stream,
+                    soa::RequantTally& t_prod, soa::RequantTally& t_int);
 
   hbf_detail::HbfParams p_;
   std::size_t channels_;

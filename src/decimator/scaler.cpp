@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "src/decimator/simd.h"
-#include "src/decimator/soa.h"
 
 namespace dsadc::decim {
 
@@ -13,7 +12,9 @@ ScalingStage::ScalingStage(double scale, fx::Format in_fmt, fx::Format out_fmt,
     : csd_(fx::csd_encode_limited(scale, frac_bits, max_digits)),
       frac_bits_(frac_bits),
       in_fmt_(in_fmt),
-      out_fmt_(out_fmt) {
+      out_fmt_(out_fmt),
+      rq_(in_fmt.frac + frac_bits, out_fmt, fx::Rounding::kRoundNearest,
+          fx::event_counters("scaler_out")) {
   if (scale <= 0.0) throw std::invalid_argument("ScalingStage: scale <= 0");
 }
 
@@ -45,13 +46,10 @@ std::vector<std::int64_t> ScalingStage::process(
 void ScalingStage::process_inplace(std::vector<std::int64_t>& data) const {
   // Same Horner digit walk as push(), with the requantize inlined and the
   // round/saturate events tallied per block instead of per sample.
-  static const fx::EventCounters& ec = fx::event_counters("scaler_out");
-  const soa::Requant rq(in_fmt_.frac + frac_bits_, out_fmt_,
-                        fx::Rounding::kRoundNearest, ec);
   soa::RequantTally tally;
   simd::kernels().scaler_map(data.data(), data.size(), csd_.digits.data(),
-                             csd_.digits.size(), frac_bits_, rq, tally);
-  tally.flush(rq);
+                             csd_.digits.size(), frac_bits_, rq_, tally);
+  tally.flush(rq_);
 }
 
 double scale_for_msa(double msa, double headroom) {

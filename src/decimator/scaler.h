@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "src/decimator/soa.h"
 #include "src/fixedpoint/csd.h"
 #include "src/fixedpoint/fixed.h"
 
@@ -45,6 +46,7 @@ class ScalingStage {
   fx::Csd csd_;
   int frac_bits_;
   fx::Format in_fmt_, out_fmt_;
+  soa::Requant rq_;  ///< block-kernel output requantizer (scaler_out)
 };
 
 /// Pick a scale factor for a measured MSA: the largest CSD-representable

@@ -8,8 +8,11 @@
 // precomputes the shift/round/clamp parameters once per call site and
 // applies them inline, tallying round/saturate events locally so the
 // per-event counter branches leave the inner loops. flush() adds the
-// tallies to the same fx.<event>.<site> counters the scalar paths use,
-// making counter totals identical for identical data.
+// tallies to the same fx.<event>.<site> counters the per-sample push()
+// references use, making counter totals identical for identical data.
+// Every block kernel -- bank and single-channel alike -- requantizes this
+// way; fx::requantize with a counter site is left to the push()/step()
+// reference paths.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +20,7 @@
 
 #include "src/fixedpoint/fixed.h"
 #include "src/obs/obs.h"
+#include "src/obs/store/tracker.h"
 
 namespace dsadc::decim::soa {
 
@@ -36,8 +40,12 @@ struct Requant {
         lo(fmt.raw_min()),
         hi(fmt.raw_max()),
         site(&counters) {
-    // The scalar path special-cases |shift| >= 63; no stage format in this
-    // codebase gets near it, so the banks simply refuse.
+    // fx::requantize special-cases |shift| >= 63; no designed stage format
+    // gets near it, so the block paths refuse. Stages build their Requants
+    // at construction, so such a config is refused there, not per block.
+    if (fmt.width < 1 || fmt.width > 62) {
+      throw std::invalid_argument("soa::Requant: width must be in [1, 62]");
+    }
     if (shift >= 63 || shift <= -63) {
       throw std::invalid_argument("soa::Requant: shift out of range");
     }
@@ -50,15 +58,26 @@ struct Requant {
   }
 };
 
-/// Per-pass event tallies, bulk-flushed to the site counters.
+/// Per-block event tallies, bulk-flushed to the site counters. Each
+/// non-zero tally also becomes one fx event in the current trace-store
+/// transaction (value = hit count), so a block records one event per
+/// site instead of one per hit.
 struct RequantTally {
   std::uint64_t rounds = 0;
   std::uint64_t saturates = 0;
 
   void flush(const Requant& rq) {
     if (obs::enabled() && rq.site != nullptr) {
-      if (rounds != 0) rq.site->round->add(rounds);
-      if (saturates != 0) rq.site->saturate->add(saturates);
+      if (rounds != 0) {
+        rq.site->round->add(rounds);
+        obs::store::note_fx(rq.site->round_id,
+                            static_cast<std::int64_t>(rounds));
+      }
+      if (saturates != 0) {
+        rq.site->saturate->add(saturates);
+        obs::store::note_fx(rq.site->saturate_id,
+                            static_cast<std::int64_t>(saturates));
+      }
     }
     rounds = 0;
     saturates = 0;

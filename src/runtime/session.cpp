@@ -169,11 +169,13 @@ void SessionRuntime::run_job(Shard& shard, SessionJob& job) {
         // order per session.
         if (it->second.group) dissolve_group(shard, *it->second.group);
         // Reconfiguration swaps in a freshly built chain: filter state
-        // never carries across a format/coefficient change.
-        it->second.config =
-            job.config ? job.config : default_config();
-        it->second.chain =
-            std::make_unique<decim::DecimationChain>(*it->second.config);
+        // never carries across a format/coefficient change. The chain is
+        // built first, so a config it refuses leaves the session on its
+        // old config and chain.
+        auto config = job.config ? job.config : default_config();
+        auto chain = std::make_unique<decim::DecimationChain>(*config);
+        it->second.config = std::move(config);
+        it->second.chain = std::move(chain);
         break;
       }
       case SessionOp::kData: {

@@ -3,8 +3,12 @@
 // paper's 14-bit / 86 dB target.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <random>
+#include <span>
+#include <string>
 
 #include "src/decimator/chain.h"
 #include "src/dsp/spectrum.h"
@@ -13,6 +17,7 @@
 #include "src/modulator/realize.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
+#include "src/runtime/multichannel.h"
 #include "src/verify/stimulus.h"
 
 namespace {
@@ -41,6 +46,75 @@ class ChainTest : public ::testing::Test {
 
 decim::ChainConfig* ChainTest::cfg_ = nullptr;
 mod::CiffCoeffs* ChainTest::coeffs_ = nullptr;
+
+/// Every fx.round.* / fx.saturate.* / fx.wrap.* counter of the chain's
+/// requantization sites.
+std::map<std::string, std::uint64_t> fx_snapshot() {
+  static const char* kSites[] = {"chain_hbf_in", "hbf_in",     "hbf_product",
+                                 "hbf_internal", "hbf_out",    "scaler_out",
+                                 "fir_out"};
+  static const char* kEvents[] = {"saturate", "round", "wrap"};
+  std::map<std::string, std::uint64_t> snap;
+  auto& reg = obs::Registry::instance();
+  for (const char* site : kSites) {
+    for (const char* ev : kEvents) {
+      const std::string name = std::string("fx.") + ev + "." + site;
+      snap[name] = reg.counter(name).value();
+    }
+  }
+  return snap;
+}
+
+/// DecimationChain::process sample by sample: every stage's push()
+/// reference, and fx::requantize for the CIC renormalization, so each fx
+/// event is counted per hit instead of tallied per block.
+class PushChain {
+ public:
+  explicit PushChain(const decim::ChainConfig& cfg)
+      : cfg_(cfg),
+        cic_(cfg.cic_stages),
+        hbf_(cfg.hbf, cfg.hbf_in_format, cfg.hbf_out_format,
+             cfg.hbf_coeff_frac_bits),
+        scaler_(cfg.scale, cfg.hbf_out_format, cfg.scaler_out_format,
+                /*frac_bits=*/14, /*max_digits=*/8),
+        equalizer_(decim::FixedTaps::from_real(cfg.equalizer_taps,
+                                               cfg.equalizer_frac_bits),
+                   /*decimation=*/1, cfg.scaler_out_format,
+                   cfg.output_format),
+        gain_log2_(decim::cic_cascade_gain_log2(cfg)) {}
+
+  std::vector<std::int64_t> push_all(std::span<const std::int32_t> codes) {
+    static const fx::EventCounters& renorm =
+        fx::event_counters("chain_hbf_in");
+    std::vector<std::int64_t> out;
+    for (const std::int32_t code : codes) {
+      std::int64_t v = code;
+      bool emitted = true;
+      for (auto& stage : cic_.stages()) {
+        if (!stage.push(v, v)) {
+          emitted = false;
+          break;
+        }
+      }
+      if (!emitted) continue;
+      v = fx::requantize(v, gain_log2_, cfg_.hbf_in_format,
+                         fx::Rounding::kRoundNearest, fx::Overflow::kSaturate,
+                         &renorm);
+      if (!hbf_.push(v, v)) continue;
+      v = scaler_.push(v);
+      if (equalizer_.push(v, v)) out.push_back(v);
+    }
+    return out;
+  }
+
+ private:
+  decim::ChainConfig cfg_;
+  decim::CicCascade cic_;
+  decim::SaramakiHbfDecimator hbf_;
+  decim::ScalingStage scaler_;
+  decim::FirDecimator equalizer_;
+  int gain_log2_;
+};
 
 TEST_F(ChainTest, RatesAndDecimation) {
   decim::DecimationChain chain(*cfg_);
@@ -203,6 +277,50 @@ TEST_F(ChainTest, BlockSplitInvariance) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     ASSERT_EQ(got[i], ref[i]) << i;
   }
+}
+
+// The block kernels tally fx events per block; the totals must equal the
+// per-hit counts of the push() references, for every site, whatever the
+// block split -- on the paper config and on one that saturates.
+TEST_F(ChainTest, BlockCountersMatchPushReference) {
+  if (!obs::kCompiledOn) GTEST_SKIP() << "instrumentation compiled out";
+  obs::set_enabled(true);
+  auto& reg = obs::Registry::instance();
+  decim::ChainConfig loud = *cfg_;
+  loud.scale *= 4.0;
+  const auto dsm = run_modulator(1 << 13, 0.81);
+  for (const decim::ChainConfig* cfg : {cfg_, &loud}) {
+    reg.reset_all();
+    PushChain ref(*cfg);
+    const auto want = ref.push_all(dsm.codes);
+    const auto want_fx = fx_snapshot();
+    EXPECT_GT(reg.counter_total("fx.round."), 0u);
+    if (cfg == &loud) {
+      EXPECT_GT(reg.counter_total("fx.saturate."), 0u);
+    }
+    for (const std::size_t block : {1u, 7u, 256u, 4096u}) {
+      reg.reset_all();
+      decim::DecimationChain chain(*cfg);
+      std::vector<std::int64_t> got;
+      for (std::size_t pos = 0; pos < dsm.codes.size(); pos += block) {
+        const std::size_t n = std::min(block, dsm.codes.size() - pos);
+        const auto out = chain.process(
+            std::span<const std::int32_t>(dsm.codes).subspan(pos, n));
+        got.insert(got.end(), out.begin(), out.end());
+      }
+      EXPECT_EQ(got, want) << "block " << block;
+      EXPECT_EQ(fx_snapshot(), want_fx) << "block " << block;
+    }
+  }
+}
+
+// hbf_coeff_frac_bits = 65 puts the HBF product requantize at a 63-bit
+// shift. Both chain forms refuse it when they are built, not per block.
+TEST(ChainConfig, RequantShiftOutOfRangeRefusedByBothForms) {
+  auto cfg = decim::paper_chain_config();
+  cfg.hbf_coeff_frac_bits = 65;
+  EXPECT_THROW(decim::DecimationChain{cfg}, std::invalid_argument);
+  EXPECT_THROW(runtime::ChainBank(cfg, 4), std::invalid_argument);
 }
 
 TEST(ChainConfig, PaperDefaultsSane) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -337,6 +338,46 @@ TEST_F(StoreTest, ChainEmitsStageEventsUnderTransaction) {
   EXPECT_EQ(reader.name(stages[4].name), "stage.halfband");
   EXPECT_EQ(stages[0].aux, codes.size());  // aux carries the sample count
   EXPECT_EQ(stages[6].aux, codes.size() / 16);
+}
+
+TEST_F(StoreTest, ChainFxHitsLandInTransactionAsPerSiteCounts) {
+  // The chain's block kernels tally fx hits per block: each site with hits
+  // records one fx event per kind in the enclosing transaction, value =
+  // hit count, so the events sum to the registry counters.
+  obs::set_enabled(true);
+  auto& reg = obs::Registry::instance();
+  reg.reset_all();
+  ASSERT_TRUE(open(dir_));
+  decim::ChainConfig cfg = decim::paper_chain_config();
+  cfg.scale *= 4.0;  // DC code 6 at 4x scale clips the +-1 output
+  decim::DecimationChain chain(cfg);
+  const std::vector<std::int32_t> codes(4096, 6);
+  std::uint64_t txn_id = 0;
+  {
+    TxnScope txn(intern("session.data"), /*channel=*/3);
+    txn_id = txn.id();
+    chain.process(codes);
+  }
+  close();
+
+  StoreReader reader(dir_);
+  ASSERT_TRUE(reader.ok());
+  std::map<std::string, std::int64_t> per_name;
+  reader.visit(Category::kFx, [&](const Event& e) {
+    EXPECT_EQ(e.txn, txn_id);
+    EXPECT_EQ(e.channel, 3u);
+    EXPECT_GT(e.value, 0);
+    const std::string name(reader.name(e.name));
+    EXPECT_EQ(per_name.count(name), 0u) << name << " recorded twice";
+    per_name[name] = e.value;
+  });
+  EXPECT_EQ(per_name.count("fx.suppressed"), 0u);
+  EXPECT_GT(per_name.count("fx.saturate.fir_out"), 0u);
+  EXPECT_GT(per_name.count("fx.round.hbf_product"), 0u);
+  for (const auto& [name, hits] : per_name) {
+    EXPECT_EQ(static_cast<std::uint64_t>(hits), reg.counter(name).value())
+        << name;
+  }
 }
 
 TEST_F(StoreTest, QueryPredicatesAndAggregation) {

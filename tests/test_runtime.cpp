@@ -4,11 +4,13 @@
 // protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -418,6 +420,44 @@ TEST_F(RuntimeTest, ProcessRowsChunkEdgesMatchScalarChains) {
     }
     EXPECT_EQ(fx_snapshot(), want_fx) << "width " << width;
   }
+}
+
+TEST_F(RuntimeTest, ConcurrentScalarChainsSumToSequentialCounters) {
+  // Scalar chains on two threads flush their per-block fx tallies into
+  // the same shared counters at once. The per-site deltas must add up to
+  // what the same two runs leave one after the other (and the outputs
+  // must not depend on the interleaving).
+  if (!obs::kCompiledOn) GTEST_SKIP() << "instrumentation compiled out";
+  decim::ChainConfig cfg = decim::paper_chain_config();
+  cfg.scale *= 4.0;  // saturates, so the saturate counters move too
+  std::mt19937_64 rng(fuzz_seed(211));
+  const std::vector<std::vector<std::int32_t>> codes = {
+      stimulus_codes(verify::StimulusClass::kModulator, 1 << 14, rng),
+      stimulus_codes(verify::StimulusClass::kOverloadRamp, 1 << 14, rng)};
+  const auto run = [&](std::size_t t) {
+    decim::DecimationChain chain(cfg);
+    std::vector<std::int64_t> out;
+    for (std::size_t pos = 0; pos < codes[t].size(); pos += 1000) {
+      const std::size_t n = std::min<std::size_t>(1000, codes[t].size() - pos);
+      const auto part = chain.process(
+          std::span<const std::int32_t>(codes[t]).subspan(pos, n));
+      out.insert(out.end(), part.begin(), part.end());
+    }
+    return out;
+  };
+
+  obs::Registry::instance().reset_all();
+  const std::vector<std::vector<std::int64_t>> want = {run(0), run(1)};
+  const auto want_fx = fx_snapshot();
+  ASSERT_GT(obs::Registry::instance().counter_total("fx.saturate."), 0u);
+
+  obs::Registry::instance().reset_all();
+  std::vector<std::vector<std::int64_t>> got(2);
+  std::thread other([&] { got[1] = run(1); });
+  got[0] = run(0);
+  other.join();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(fx_snapshot(), want_fx);
 }
 
 TEST_F(RuntimeTest, PerChannelThroughputGaugesArePublished) {

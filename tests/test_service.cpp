@@ -578,6 +578,49 @@ TEST_F(ServiceTest, OpenWithSerializedConfigServesBitExact) {
   server.stop();
 }
 
+TEST_F(ServiceTest, RefusedConfigGetsErrorAndSessionKeepsServing) {
+  // hbf_coeff_frac_bits = 65 puts the HBF product requantize at a 63-bit
+  // shift, which the chain refuses at construction. A CONFIG carrying it
+  // is answered with ERROR, the session keeps its old chain (state and
+  // all), and the worker goes on serving it; an OPEN carrying it is
+  // refused the same way and leaves no session behind.
+  service::Server server(test_options("refuse"));
+  server.start();
+  auto client = service::Client::connect_unix(server.unix_path());
+
+  const decim::ChainConfig cfg = decim::paper_chain_config();
+  decim::ChainConfig bad = cfg;
+  bad.hbf_coeff_frac_bits = 65;
+  std::mt19937_64 rng(fuzz_seed(43));
+  const auto part1 =
+      stimulus_codes(verify::StimulusClass::kModulator, 1024, rng);
+  const auto part2 = stimulus_codes(verify::StimulusClass::kPrbs, 1024, rng);
+  decim::DecimationChain ref(cfg);
+  auto expect = ref.process(part1);
+  const auto tail = ref.process(part2);
+  expect.insert(expect.end(), tail.begin(), tail.end());
+
+  const std::uint32_t ch = 3;
+  ASSERT_TRUE(client->open_config(ch, cfg));
+  ASSERT_TRUE(client->wait_ack_count(ch, 1, kWait)) << "OPEN not acked";
+  ASSERT_TRUE(client->send_data(ch, part1));
+  ASSERT_TRUE(client->reconfigure_config(ch, bad));
+  ASSERT_TRUE(client->wait_error(service::ErrorCode::kInternal, kWait));
+  ASSERT_TRUE(client->send_data(ch, part2));
+  ASSERT_TRUE(client->wait_sample_count(ch, expect.size(), kWait));
+  EXPECT_EQ(client->samples(ch), expect);
+  const auto errors = client->errors();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].first, ch);
+
+  const std::uint32_t ch2 = 4;
+  ASSERT_TRUE(client->open_config(ch2, bad));
+  ASSERT_TRUE(client->send_data(ch2, part1));
+  EXPECT_TRUE(client->wait_error(service::ErrorCode::kNotOpen, kWait));
+  client.reset();
+  server.stop();
+}
+
 TEST_F(ServiceTest, LockstepCohortServesBitExactOverWire) {
   // End-to-end batch path: two connections x 16 lockstep channels on the
   // same config stream equal-length blocks; the server coalesces them
