@@ -67,8 +67,10 @@ BENCHMARK(BM_DecimationChain);
 
 // Sample-at-a-time reference for the chain: the same stages driven through
 // push() one sample at a time. The ratio of BM_DecimationChain to this is
-// decim_chain_batched_speedup -- the win from the batched block kernels,
-// measured in the same run on the same machine.
+// decim_chain_batched_speedup -- the win from the bank kernels (run at one
+// lane), measured in the same run on the same machine. It is also the
+// denominator of the runtime_soa_*_speedup ratios: push() is code no
+// kernel change touches, so those ratios move only with the bank.
 void BM_DecimationChainPush(benchmark::State& state) {
   const auto cfg = decim::paper_chain_config();
   decim::CicCascade cic(cfg.cic_stages);
@@ -118,11 +120,11 @@ BENCHMARK(BM_DecimationChainPush);
 
 // --- Multi-channel runtime: SoA lockstep vs N serial chain runs ---------
 //
-// Both legs are forced to one worker (DSADC_RUNTIME_THREADS=1), so the
-// runtime_soa_*_speedup ratios measure only the SoA kernel win (lockstep
-// lanes, inlined requantize, no per-stage bookkeeping) and stay
-// machine-independent: CI gates them via bench_diff regardless of the
-// runner's core count.
+// The SoA leg is forced to one worker (DSADC_RUNTIME_THREADS=1), so the
+// runtime_soa_*_speedup ratios (SoA codes/s over BM_DecimationChainPush
+// codes/s) measure only the lockstep kernel win and stay independent of
+// the runner's core count: CI gates them via bench_diff. The serial leg
+// is N DecimationChains, i.e. N 1-lane banks with chain bookkeeping.
 
 const std::vector<std::vector<std::int32_t>>& channel_codes(
     std::size_t channels) {
@@ -526,21 +528,21 @@ int main(int argc, char** argv) {
                        "BM_RtlSimChainCompiled", 0.45);
   ok &= record_speedup(report, reporter, "decim_chain_batched_speedup",
                        "BM_DecimationChain", "BM_DecimationChainPush", 1.5);
-  // Channels-scaling: SoA lockstep runtime vs N serial chain runs, both
-  // single-worker (see the benchmark comments). The 16-channel ratio is
-  // the acceptance bar for the runtime; 4 and 64 document the scaling
-  // curve ends.
+  // Channels-scaling: the single-worker SoA lockstep runtime over the
+  // push() reference chain (see the benchmark comments). The 16-channel
+  // ratio is the acceptance bar for the runtime; 4 and 64 document the
+  // scaling curve ends. Measured on a shared 4-core AVX-512 host: 4.2-6.1x,
+  // 12.5-19x and 14-21x over five runs, and 4.6x, 7.1x and 8.1x with
+  // DSADC_SIMD=scalar; the floors are the scalar-tier numbers with
+  // headroom for slower machines and noisy runners.
   ok &= record_speedup(report, reporter, "runtime_soa_4ch_speedup",
-                       "BM_MultiChannelSoA/4", "BM_MultiChannelSerial/4", 1.5);
+                       "BM_MultiChannelSoA/4", "BM_DecimationChainPush", 3.0);
   ok &= record_speedup(report, reporter, "runtime_soa_16ch_speedup",
-                       "BM_MultiChannelSoA/16", "BM_MultiChannelSerial/16",
-                       3.0);
-  // 64 channels is where the SoA layout pays most; measured 4.5x on the
-  // scalar tier and 7.3x with AVX-512, so 3.5 is safe on any x86 tier
-  // while still catching a real kernel regression.
+                       "BM_MultiChannelSoA/16", "BM_DecimationChainPush",
+                       5.0);
   ok &= record_speedup(report, reporter, "runtime_soa_64ch_speedup",
-                       "BM_MultiChannelSoA/64", "BM_MultiChannelSerial/64",
-                       3.5);
+                       "BM_MultiChannelSoA/64", "BM_DecimationChainPush",
+                       6.0);
   // The optimized tape must never be slower than the unoptimized one; the
   // floor is lenient (0.98) because the win is modest -- the tape is
   // already const-hoisted -- and timer noise on small deltas is real.

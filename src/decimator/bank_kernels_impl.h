@@ -6,6 +6,12 @@
 // bodies are the exact loops the bank stages ran before dispatch existed:
 // integer-exact lane arithmetic, taps in the outer loop, one independent
 // accumulator chain per channel, so every tier computes identical bits.
+//
+// The four lane-loop kernels (cic_stage, fir_emit, hbf_g2, hbf_out) are
+// templates on a compile-time width W: the table entry runs W = 1 when
+// C == 1 (DecimationChain is a 1-lane bank), so the `c < C` loops fold
+// to straight-line code, and W = 0 (width C read at run time) otherwise.
+// Same source, same bits at every width.
 #include <cstddef>
 #include <cstdint>
 
@@ -55,10 +61,12 @@ struct Rq {
   }
 };
 
-std::size_t cic_stage(std::int64_t* __restrict data, std::size_t frames,
-                      std::size_t C, std::int64_t* __restrict integ,
-                      std::int64_t* __restrict comb, std::size_t order,
-                      std::size_t skip, std::size_t decim, soa::Wrap wrap) {
+template <std::size_t W>
+std::size_t cic_stage_w(std::int64_t* __restrict data, std::size_t frames,
+                        std::size_t lanes, std::int64_t* __restrict integ,
+                        std::int64_t* __restrict comb, std::size_t order,
+                        std::size_t skip, std::size_t decim, soa::Wrap wrap) {
+  const std::size_t C = W != 0 ? W : lanes;
   std::size_t n_out = 0;
   std::size_t next_keep = skip;
   for (std::size_t f = 0; f < frames; ++f) {
@@ -92,12 +100,14 @@ std::size_t cic_stage(std::int64_t* __restrict data, std::size_t frames,
   return n_out;
 }
 
-std::size_t fir_emit(std::int64_t* __restrict data,
-                     const std::int64_t* __restrict ext, std::size_t frames,
-                     std::size_t C, const std::int64_t* __restrict taps,
-                     std::size_t tap_count, std::size_t first,
-                     std::size_t decim, std::int64_t* __restrict acc,
-                     const soa::Requant& rq, soa::RequantTally& tally) {
+template <std::size_t W>
+std::size_t fir_emit_w(std::int64_t* __restrict data,
+                       const std::int64_t* __restrict ext, std::size_t frames,
+                       std::size_t lanes, const std::int64_t* __restrict taps,
+                       std::size_t tap_count, std::size_t first,
+                       std::size_t decim, std::int64_t* __restrict acc,
+                       const soa::Requant& rq, soa::RequantTally& tally) {
+  const std::size_t C = W != 0 ? W : lanes;
   Rq lrq(rq);
   std::size_t n_out = 0;
   for (std::size_t i = first; i < frames; i += decim, ++n_out) {
@@ -116,31 +126,33 @@ std::size_t fir_emit(std::int64_t* __restrict data,
   return n_out;
 }
 
-void hbf_g2(std::int64_t* __restrict stream,
-            const std::int64_t* __restrict ext, std::size_t frames,
-            std::size_t C, const std::int64_t* __restrict f2, std::size_t n2,
-            const soa::Requant& rq_prod, const soa::Requant& rq_int,
-            soa::RequantTally& t_prod, soa::RequantTally& t_int) {
+template <std::size_t W>
+void hbf_g2_w(std::int64_t* __restrict stream,
+              const std::int64_t* __restrict ext, std::size_t frames,
+              std::size_t lanes, const std::int64_t* __restrict f2,
+              std::size_t n2, const soa::Requant& rq_prod,
+              const soa::Requant& rq_int, soa::RequantTally& t_prod,
+              soa::RequantTally& t_int) {
+  const std::size_t C = W != 0 ? W : lanes;
   Rq lrq_prod(rq_prod);
   Rq lrq_int(rq_int);
   const std::size_t n = 2 * n2;  // history rows ahead of the stream
   for (std::size_t m = 0; m < frames; ++m) {
     const std::int64_t* const newest = ext + (n + m) * C;
     std::int64_t* const orow = stream + m * C;
-    // First product initializes the accumulator row in place, the rest
-    // add -- same j = 1..n2 order as the scalar kernel.
-    for (std::size_t j = 1; j <= n2; ++j) {
+    // The j = 1 product initializes the accumulator row in place, the
+    // rest add -- same j = 1..n2 order as the push() reference.
+    const std::int64_t* const near1 = newest - (n2 - 1) * C;
+    const std::int64_t* const far1 = newest - n2 * C;
+    for (std::size_t c = 0; c < C; ++c) {
+      orow[c] = lrq_prod(f2[0] * (near1[c] + far1[c]));
+    }
+    for (std::size_t j = 2; j <= n2; ++j) {
       const std::int64_t coeff = f2[j - 1];
       const std::int64_t* const near_row = newest - (n2 - j) * C;
       const std::int64_t* const far_row = newest - (n2 + j - 1) * C;
-      if (j == 1) {
-        for (std::size_t c = 0; c < C; ++c) {
-          orow[c] = lrq_prod(coeff * (near_row[c] + far_row[c]));
-        }
-      } else {
-        for (std::size_t c = 0; c < C; ++c) {
-          orow[c] += lrq_prod(coeff * (near_row[c] + far_row[c]));
-        }
+      for (std::size_t c = 0; c < C; ++c) {
+        orow[c] += lrq_prod(coeff * (near_row[c] + far_row[c]));
       }
     }
     for (std::size_t c = 0; c < C; ++c) orow[c] = lrq_int(orow[c]);
@@ -149,13 +161,15 @@ void hbf_g2(std::int64_t* __restrict stream,
   lrq_int.commit(t_int);
 }
 
-void hbf_out(std::int64_t* __restrict data,
-             const std::int64_t* __restrict half_path,
-             const std::int64_t* const* __restrict branches, std::size_t n1,
-             std::int64_t half_coeff, const std::int64_t* __restrict f1,
-             std::size_t out_frames, std::size_t C,
-             const soa::Requant& rq_prod, const soa::Requant& rq_out,
-             soa::RequantTally& t_prod, soa::RequantTally& t_out) {
+template <std::size_t W>
+void hbf_out_w(std::int64_t* __restrict data,
+               const std::int64_t* __restrict half_path,
+               const std::int64_t* const* __restrict branches, std::size_t n1,
+               std::int64_t half_coeff, const std::int64_t* __restrict f1,
+               std::size_t out_frames, std::size_t lanes,
+               const soa::Requant& rq_prod, const soa::Requant& rq_out,
+               soa::RequantTally& t_prod, soa::RequantTally& t_out) {
+  const std::size_t C = W != 0 ? W : lanes;
   Rq lrq_prod(rq_prod);
   Rq lrq_out(rq_out);
   for (std::size_t m = 0; m < out_frames; ++m) {
@@ -175,6 +189,56 @@ void hbf_out(std::int64_t* __restrict data,
   }
   lrq_prod.commit(t_prod);
   lrq_out.commit(t_out);
+}
+
+// Table entries: pick the width-1 instantiation from C.
+std::size_t cic_stage(std::int64_t* data, std::size_t frames, std::size_t C,
+                      std::int64_t* integ, std::int64_t* comb,
+                      std::size_t order, std::size_t skip, std::size_t decim,
+                      soa::Wrap wrap) {
+  return C == 1 ? cic_stage_w<1>(data, frames, C, integ, comb, order, skip,
+                                 decim, wrap)
+                : cic_stage_w<0>(data, frames, C, integ, comb, order, skip,
+                                 decim, wrap);
+}
+
+std::size_t fir_emit(std::int64_t* data, const std::int64_t* ext,
+                     std::size_t frames, std::size_t C,
+                     const std::int64_t* taps, std::size_t tap_count,
+                     std::size_t first, std::size_t decim, std::int64_t* acc,
+                     const soa::Requant& rq, soa::RequantTally& tally) {
+  return C == 1 ? fir_emit_w<1>(data, ext, frames, C, taps, tap_count, first,
+                                decim, acc, rq, tally)
+                : fir_emit_w<0>(data, ext, frames, C, taps, tap_count, first,
+                                decim, acc, rq, tally);
+}
+
+void hbf_g2(std::int64_t* stream, const std::int64_t* ext, std::size_t frames,
+            std::size_t C, const std::int64_t* f2, std::size_t n2,
+            const soa::Requant& rq_prod, const soa::Requant& rq_int,
+            soa::RequantTally& t_prod, soa::RequantTally& t_int) {
+  if (C == 1) {
+    hbf_g2_w<1>(stream, ext, frames, C, f2, n2, rq_prod, rq_int, t_prod,
+                t_int);
+  } else {
+    hbf_g2_w<0>(stream, ext, frames, C, f2, n2, rq_prod, rq_int, t_prod,
+                t_int);
+  }
+}
+
+void hbf_out(std::int64_t* data, const std::int64_t* half_path,
+             const std::int64_t* const* branches, std::size_t n1,
+             std::int64_t half_coeff, const std::int64_t* f1,
+             std::size_t out_frames, std::size_t C,
+             const soa::Requant& rq_prod, const soa::Requant& rq_out,
+             soa::RequantTally& t_prod, soa::RequantTally& t_out) {
+  if (C == 1) {
+    hbf_out_w<1>(data, half_path, branches, n1, half_coeff, f1, out_frames, C,
+                 rq_prod, rq_out, t_prod, t_out);
+  } else {
+    hbf_out_w<0>(data, half_path, branches, n1, half_coeff, f1, out_frames, C,
+                 rq_prod, rq_out, t_prod, t_out);
+  }
 }
 
 void scaler_map(std::int64_t* __restrict data, std::size_t count,

@@ -1,5 +1,6 @@
 #include "src/decimator/chain.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -53,12 +54,12 @@ SignalStats signal_stats(std::span<const std::int64_t> samples,
   return st;
 }
 
-void DecimationChain::record_stage(const char* name, double rate_hz,
-                                   int width_bits,
+void DecimationChain::record_stage(std::size_t idx,
                                    const std::vector<std::int64_t>& samples,
                                    std::vector<StageProbe>* probes,
-                                   std::size_t idx,
                                    std::int64_t* stage_start_us) {
+  const Boundary& b = boundaries_[idx];
+  const int width_bits = b.width_bits;
   const bool obs_on = obs::enabled();
   // The caller passes a non-null time cursor only for blocks selected by
   // the store's stage sampler (see process()).
@@ -84,7 +85,7 @@ void DecimationChain::record_stage(const char* name, double rate_hz,
   if (store_on) {
     if (idx >= stage_ids_.size()) stage_ids_.resize(idx + 1, 0);
     if (stage_ids_[idx] == 0) {
-      stage_ids_[idx] = obs::store::intern(std::string("stage.") + name);
+      stage_ids_[idx] = obs::store::intern("stage." + b.name);
     }
     const std::int64_t now = obs::store::now_us();
     obs::store::Event e;
@@ -100,7 +101,7 @@ void DecimationChain::record_stage(const char* name, double rate_hz,
   }
   if (obs_on) {
     auto& reg = obs::Registry::instance();
-    const std::string stage = name;
+    const std::string& stage = b.name;
     reg.gauge("chain.min_raw." + stage).set(static_cast<double>(st.min_raw));
     reg.gauge("chain.max_raw." + stage).set(static_cast<double>(st.max_raw));
     reg.gauge("chain.rms_raw." + stage).set(st.rms_raw);
@@ -111,8 +112,8 @@ void DecimationChain::record_stage(const char* name, double rate_hz,
   if (probes != nullptr) {
     if (idx >= probes->size()) probes->resize(idx + 1);
     StageProbe& p = (*probes)[idx];
-    p.name = name;
-    p.rate_hz = rate_hz;
+    p.name = b.name;
+    p.rate_hz = b.rate_hz;
     p.width_bits = width_bits;
     p.samples.assign(samples.begin(), samples.end());
     p.stats = st;
@@ -140,37 +141,123 @@ int cic_cascade_gain_log2(const ChainConfig& cfg) {
   return gi;
 }
 
-DecimationChain::DecimationChain(ChainConfig config)
-    : config_(std::move(config)),
-      cic_(config_.cic_stages),
-      hbf_(config_.hbf, config_.hbf_in_format, config_.hbf_out_format,
-           config_.hbf_coeff_frac_bits),
-      scaler_(config_.scale, config_.hbf_out_format, config_.scaler_out_format,
-              /*frac_bits=*/14, /*max_digits=*/8),
-      equalizer_(FixedTaps::from_real(config_.equalizer_taps,
-                                      config_.equalizer_frac_bits),
-                 /*decimation=*/1, config_.scaler_out_format,
-                 config_.output_format),
-      cic_gain_log2_(cic_cascade_gain_log2(config_)),
-      renorm_(cic_gain_log2_, config_.hbf_in_format,
+ChainBank::ChainBank(const ChainConfig& config, std::size_t lanes)
+    : lanes_(lanes),
+      renorm_(cic_cascade_gain_log2(config), config.hbf_in_format,
               fx::Rounding::kRoundNearest,
-              fx::event_counters("chain_hbf_in")) {
-  const auto& stages = cic_.stages();
-  sinc_names_.reserve(stages.size());
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    sinc_names_.push_back("sinc" + std::to_string(stages[i].spec().order) +
-                          "_" + std::to_string(i + 1));
+              fx::event_counters("chain_hbf_in")),
+      hbf_(config.hbf, lanes, config.hbf_in_format, config.hbf_out_format,
+           config.hbf_coeff_frac_bits),
+      scaler_(config.scale, config.hbf_out_format, config.scaler_out_format,
+              /*frac_bits=*/14, /*max_digits=*/8),
+      equalizer_(FixedTaps::from_real(config.equalizer_taps,
+                                      config.equalizer_frac_bits),
+                 /*decimation=*/1, lanes, config.scaler_out_format,
+                 config.output_format),
+      dst_(lanes) {
+  if (config.cic_stages.empty()) {
+    throw std::invalid_argument("ChainBank: no CIC stages");
+  }
+  cic_.reserve(config.cic_stages.size());
+  for (const auto& spec : config.cic_stages) {
+    cic_.emplace_back(spec, lanes);
   }
 }
 
-void DecimationChain::reset() {
-  cic_.reset();
+void ChainBank::reset() {
+  for (auto& c : cic_) c.reset();
   hbf_.reset();
   equalizer_.reset();
 }
 
+void ChainBank::renormalize(std::vector<std::int64_t>& data) {
+  // The CIC output in "code units" carries gain 2^gain_log2; treat it as
+  // a fractional scale and round into hbf_in_format (a pure shift).
+  soa::RequantTally tally;
+  simd::kernels().requant_rows(data.data(), data.size(), renorm_, tally);
+  tally.flush(renorm_);
+}
+
+void ChainBank::process_inplace(std::vector<std::int64_t>& data) {
+  process_inplace(data, [](std::size_t, const std::vector<std::int64_t>&) {});
+}
+
+void ChainBank::process_rows(std::span<const std::int32_t* const> rows,
+                             std::size_t frames,
+                             std::span<std::vector<std::int64_t>> outs) {
+  if (rows.size() != lanes_ || outs.size() != lanes_) {
+    throw std::invalid_argument("ChainBank: one row and output per lane");
+  }
+  // Both copies run frame-major: the interleaved stream stays sequential
+  // (one cache line per 8 slots) while the other side fans across the
+  // lane streams -- lane-major order would touch a fresh line on every
+  // store once the chunk outgrows L1.
+  const std::size_t width = lanes_;
+  for (std::size_t base = 0; base < frames; base += kTransposeChunkFrames) {
+    const std::size_t chunk = std::min(kTransposeChunkFrames, frames - base);
+    buf_.resize(chunk * width);
+    std::int64_t* const buf = buf_.data();
+    for (std::size_t f = 0; f < chunk; ++f) {
+      for (std::size_t lane = 0; lane < width; ++lane) {
+        buf[f * width + lane] = rows[lane][base + f];
+      }
+    }
+    process_inplace(buf_);
+    const std::size_t chunk_out = buf_.size() / width;
+    std::int64_t** const dst = dst_.data();
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      const std::size_t off = outs[lane].size();
+      outs[lane].resize(off + chunk_out);
+      dst[lane] = outs[lane].data() + off;
+    }
+    const std::int64_t* const src = buf_.data();
+    for (std::size_t f = 0; f < chunk_out; ++f) {
+      for (std::size_t lane = 0; lane < width; ++lane) {
+        dst[lane][f] = src[f * width + lane];
+      }
+    }
+  }
+}
+
+void ChainBank::copy_lane(std::size_t src_lane, ChainBank& dst,
+                          std::size_t dst_lane) const {
+  if (dst.cic_.size() != cic_.size()) {
+    throw std::invalid_argument("ChainBank: copy config mismatch");
+  }
+  // Stage by stage (scaler and renorm are stateless); each stage checks
+  // the lane indices and that `dst` was built from the same parameters.
+  for (std::size_t i = 0; i < cic_.size(); ++i) {
+    cic_[i].copy_lane(src_lane, dst.cic_[i], dst_lane);
+  }
+  hbf_.copy_lane(src_lane, dst.hbf_, dst_lane);
+  equalizer_.copy_lane(src_lane, dst.equalizer_, dst_lane);
+}
+
+DecimationChain::DecimationChain(ChainConfig config)
+    : config_(std::move(config)), bank_(config_, 1) {
+  double rate = config_.input_rate_hz;
+  boundaries_.push_back({"input", rate, config_.input_format.width});
+  for (std::size_t i = 0; i < config_.cic_stages.size(); ++i) {
+    const design::CicSpec& spec = config_.cic_stages[i];
+    rate /= spec.decimation;
+    boundaries_.push_back({"sinc" + std::to_string(spec.order) + "_" +
+                               std::to_string(i + 1),
+                           rate, spec.register_width()});
+  }
+  rate /= 2.0;
+  boundaries_.push_back({"halfband", rate, config_.hbf_out_format.width});
+  boundaries_.push_back({"scaler", rate, config_.scaler_out_format.width});
+  boundaries_.push_back({"equalizer", rate, config_.output_format.width});
+}
+
+void DecimationChain::reset() { bank_.reset(); }
+
 std::size_t DecimationChain::total_decimation() const {
-  return cic_.total_decimation() * 2;
+  std::size_t m = 2;  // the HBF
+  for (const auto& s : config_.cic_stages) {
+    m *= static_cast<std::size_t>(s.decimation);
+  }
+  return m;
 }
 
 double DecimationChain::output_rate_hz() const {
@@ -186,7 +273,7 @@ std::size_t DecimationChain::group_delay_input_samples() const {
          static_cast<std::size_t>(s.decimation - 1) / 2;
     rate *= static_cast<std::size_t>(s.decimation);
   }
-  d += rate * hbf_.group_delay();
+  d += rate * bank_.hbf_group_delay();
   rate *= 2;
   d += rate * (config_.equalizer_taps.size() - 1) / 2;
   return d;
@@ -194,9 +281,6 @@ std::size_t DecimationChain::group_delay_input_samples() const {
 
 std::vector<std::int64_t> DecimationChain::process(
     std::span<const std::int32_t> codes, std::vector<StageProbe>* probes) {
-  // Stage rates for the probes.
-  const double fs = config_.input_rate_hz;
-  std::size_t probe_idx = 0;
   // Record stage events for one block in DSADC_STORE_STAGE_SAMPLE: per
   // block they cost a min/max pass plus a clock read per boundary, which
   // sampling keeps off the steady-state throughput path (<3% gate in CI)
@@ -210,50 +294,18 @@ std::vector<std::int64_t> DecimationChain::process(
     stage_batch_.clear();
   }
 
-  // --- CIC cascade (per-stage for probing). All inter-stage signals live
-  // in the member scratch vectors, so the steady state allocates only the
-  // returned output vector.
+  // Every inter-stage signal lives in the member scratch vector, so the
+  // steady state allocates only the returned output vector.
   buf_.assign(codes.begin(), codes.end());
-  record_stage("input", fs, config_.input_format.width, buf_, probes,
-               probe_idx++, stage_cursor);
-  double rate = fs;
-  auto& stages = cic_.stages();
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    stages[i].process_inplace(buf_);
-    rate /= stages[i].spec().decimation;
-    record_stage(sinc_names_[i].c_str(), rate,
-                 stages[i].register_format().width, buf_, probes,
-                 probe_idx++, stage_cursor);
-  }
-
-  // --- Normalize the CIC gain (pure shift) into the HBF input format.
-  // The CIC output in "code units" carries gain 2^cic_gain_log2_; treat it
-  // as a fractional scale and round into hbf_in_format.
-  soa::RequantTally renorm_tally;
-  simd::kernels().requant_rows(buf_.data(), buf_.size(), renorm_,
-                               renorm_tally);
-  renorm_tally.flush(renorm_);
-
-  // --- Halfband decimate-by-2.
-  hbf_.process_into(buf_, hbuf_);
-  rate /= 2.0;
-  record_stage("halfband", rate, config_.hbf_out_format.width, hbuf_, probes,
-               probe_idx++, stage_cursor);
-
-  // --- Scaling (CSD Horner).
-  scaler_.process_inplace(hbuf_);
-  record_stage("scaler", rate, config_.scaler_out_format.width, hbuf_, probes,
-               probe_idx++, stage_cursor);
-
-  // --- Equalizer at the output rate.
-  std::vector<std::int64_t> eout;
-  equalizer_.process_into(hbuf_, eout);
-  record_stage("equalizer", rate, config_.output_format.width, eout, probes,
-               probe_idx++, stage_cursor);
+  record_stage(0, buf_, probes, stage_cursor);
+  bank_.process_inplace(
+      buf_, [&](std::size_t k, const std::vector<std::int64_t>& out) {
+        record_stage(k + 1, out, probes, stage_cursor);
+      });
   if (stage_cursor != nullptr && !stage_batch_.empty()) {
     obs::store::emit_batch(stage_batch_.data(), stage_batch_.size());
   }
-  return eout;
+  return std::vector<std::int64_t>(buf_.begin(), buf_.end());
 }
 
 std::vector<double> DecimationChain::process_to_real(

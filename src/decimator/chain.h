@@ -4,10 +4,13 @@
 //                    -> Saramaki HBF(/2) -> Scaling -> FIR equalizer
 //                    -> 14-bit samples @ fs/16
 //
-// All stages are bit-true fixed point. The chain also exposes per-stage
-// intermediate outputs ("probes") so the benches and the power estimator
-// can observe switching activity at every node, like the paper's
-// PrimeTime-PX stimulus-driven estimation.
+// All stages are bit-true fixed point. ChainBank is the one block form of
+// the chain: every stage's SoA bank over N lockstep lanes. DecimationChain
+// is a 1-lane ChainBank plus per-stage intermediate outputs ("probes") so
+// the benches and the power estimator can observe switching activity at
+// every node, like the paper's PrimeTime-PX stimulus-driven estimation.
+// The stages' push() methods stay the readable reference model the tests,
+// the RTL builders and the verify harness compare against.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +25,6 @@
 #include "src/decimator/soa.h"
 #include "src/filterdesign/saramaki.h"
 #include "src/obs/store/format.h"
-
-namespace dsadc::runtime {
-class ChainBank;  // multichannel SoA form; may export lane state into a chain
-}
 
 namespace dsadc::decim {
 
@@ -86,6 +85,91 @@ struct StageProbe {
   SignalStats stats;             ///< boundary statistics for this block
 };
 
+/// Frames per ChainBank::process_rows chunk: the interleaved buffer of a
+/// full 32-lane group (1024 x 32 int64) stays cache-resident across the
+/// bank's stages.
+inline constexpr std::size_t kTransposeChunkFrames = 1024;
+
+/// An N-lane lockstep decimation chain over channel-interleaved frames
+/// (element index = frame * lanes + lane): the bank form of every stage
+/// plus the CIC-gain renormalization between the Sinc cascade and the
+/// halfband. Lane c is bit-identical to the stages' push() references fed
+/// the same codes, samples and fx event counters alike.
+class ChainBank {
+ public:
+  ChainBank(const ChainConfig& config, std::size_t lanes);
+
+  /// `data` holds modulator codes as channel-interleaved frames on entry
+  /// (size a multiple of `lanes`) and output-format samples on return.
+  void process_inplace(std::vector<std::int64_t>& data);
+
+  /// Same, calling `at_stage(k, data)` after stage k: the CIC stages are
+  /// k = 0 .. n-1, then the halfband (n), scaler (n + 1) and equalizer
+  /// (n + 2). The renormalization has no boundary of its own.
+  template <class AtStage>
+  void process_inplace(std::vector<std::int64_t>& data, AtStage&& at_stage);
+
+  /// Lockstep transpose around process_inplace: `rows[lane]` points at
+  /// `frames` modulator codes for each of the `lanes()` lanes; each
+  /// lane's output samples are appended to `outs[lane]`. Runs in
+  /// kTransposeChunkFrames chunks through an owned interleave buffer
+  /// (the bank carries state across calls, so any chunking of the same
+  /// stream is bit-exact).
+  void process_rows(std::span<const std::int32_t* const> rows,
+                    std::size_t frames,
+                    std::span<std::vector<std::int64_t>> outs);
+
+  void reset();
+
+  /// Copy lane `src_lane`'s streaming state into lane `dst_lane` of `dst`,
+  /// a bank built from the same config, so that lane continues the stream
+  /// -- and its fx event attribution -- bit-exactly from the next block
+  /// on. Stage cursors and decimation phases are shared by a bank's lanes
+  /// and are copied too, so `dst`'s other lanes must be at the same
+  /// stream position; a 1-lane `dst` (a DecimationChain's bank) always
+  /// is. The batch serving mode uses this to dissolve a lockstep group
+  /// back to per-session chains. Throws std::invalid_argument for a lane
+  /// out of range or a `dst` built from other parameters; `dst` may then
+  /// be partly overwritten.
+  void copy_lane(std::size_t src_lane, ChainBank& dst,
+                 std::size_t dst_lane) const;
+
+  std::size_t lanes() const { return lanes_; }
+  /// Halfband group delay in halfband input samples.
+  std::size_t hbf_group_delay() const { return hbf_.group_delay(); }
+
+ private:
+  void renormalize(std::vector<std::int64_t>& data);
+
+  std::size_t lanes_;
+  std::vector<CicDecimatorBank> cic_;
+  soa::Requant renorm_;  ///< CIC gain shift into the HBF format
+  SaramakiHbfBank hbf_;
+  ScalingStage scaler_;
+  FirDecimatorBank equalizer_;
+  std::vector<std::int64_t> buf_;   ///< process_rows interleave scratch
+  std::vector<std::int64_t*> dst_;  ///< process_rows per-lane write heads
+};
+
+template <class AtStage>
+void ChainBank::process_inplace(std::vector<std::int64_t>& data,
+                                AtStage&& at_stage) {
+  std::size_t k = 0;
+  for (auto& c : cic_) {
+    c.process_inplace(data);
+    at_stage(k++, data);
+  }
+  renormalize(data);
+  hbf_.process_inplace(data);
+  at_stage(k++, data);
+  scaler_.process_inplace(data);
+  at_stage(k++, data);
+  equalizer_.process_inplace(data);
+  at_stage(k, data);
+}
+
+/// The chain over one stream: a 1-lane ChainBank plus stage probes,
+/// observability gauges and trace-store stage events.
 class DecimationChain {
  public:
   explicit DecimationChain(ChainConfig config);
@@ -102,44 +186,44 @@ class DecimationChain {
   void reset();
 
   const ChainConfig& config() const { return config_; }
+  /// The chain's streaming state (a lane-copy target for dissolving a
+  /// lockstep batch group).
+  ChainBank& bank() { return bank_; }
   std::size_t total_decimation() const;
   double output_rate_hz() const;
   /// Total pipeline latency in input samples (sum of group delays).
   std::size_t group_delay_input_samples() const;
 
  private:
-  /// ChainBank::export_lane deposits a bank lane's streaming state into the
-  /// scalar stages so a chain can continue the lane's stream bit-exactly.
-  friend class runtime::ChainBank;
+  /// Name, clock rate and register width of one probe point.
+  struct Boundary {
+    std::string name;
+    double rate_hz = 0.0;
+    int width_bits = 0;
+  };
 
-  /// Record one stage boundary: probe capture (when requested) plus, while
-  /// observability is on, chain.<metric>.<stage> gauges/counters in the
-  /// metrics registry, and, while the trace store is open, one kStage
-  /// event spanning [*stage_start_us, now] (the cursor is then advanced to
-  /// now, so consecutive boundaries partition the block's wall time).
-  /// Probe slot `idx` is overwritten in place when the caller reuses a
-  /// probes vector across blocks, so steady-state probing reuses the
-  /// sample buffers instead of reallocating them.
-  void record_stage(const char* name, double rate_hz, int width_bits,
-                    const std::vector<std::int64_t>& samples,
-                    std::vector<StageProbe>* probes, std::size_t idx,
+  /// Record boundary `idx` (0 = input, then one per ChainBank stage):
+  /// probe capture (when requested) plus, while observability is on,
+  /// chain.<metric>.<stage> gauges/counters in the metrics registry, and,
+  /// while the trace store is open, one kStage event spanning
+  /// [*stage_start_us, now] (the cursor is then advanced to now, so
+  /// consecutive boundaries partition the block's wall time). Probe slot
+  /// `idx` is overwritten in place when the caller reuses a probes vector
+  /// across blocks, so steady-state probing reuses the sample buffers
+  /// instead of reallocating them.
+  void record_stage(std::size_t idx, const std::vector<std::int64_t>& samples,
+                    std::vector<StageProbe>* probes,
                     std::int64_t* stage_start_us);
 
   ChainConfig config_;
-  CicCascade cic_;
-  SaramakiHbfDecimator hbf_;
-  ScalingStage scaler_;
-  FirDecimator equalizer_;
-  int cic_gain_log2_;  ///< log2 of the CIC cascade DC gain (a pure shift)
-  soa::Requant renorm_;  ///< CIC gain -> hbf_in_format (chain_hbf_in)
-  /// Inter-stage scratch, reused across process() calls: once capacities
-  /// have grown to the block size the steady state allocates nothing but
-  /// the returned output vector.
+  ChainBank bank_;
+  /// Probe points, built once at construction so process() never
+  /// allocates stage-name strings.
+  std::vector<Boundary> boundaries_;
+  /// Inter-stage scratch, reused across process() calls: once its
+  /// capacity has grown to the block size the steady state allocates
+  /// nothing but the returned output vector.
   std::vector<std::int64_t> buf_;
-  std::vector<std::int64_t> hbuf_;
-  /// Per-stage sinc names ("sinc4_1", ...), built once at construction so
-  /// process() never allocates stage-name strings.
-  std::vector<std::string> sinc_names_;
   /// Interned trace-store name id per probe slot (stage names are fixed
   /// for a chain instance, so the first block pays the intern and the
   /// steady state is id lookups only).

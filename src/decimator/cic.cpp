@@ -60,54 +60,13 @@ bool CicDecimator::push(std::int64_t in, std::int64_t& out) {
 
 std::vector<std::int64_t> CicDecimator::process(
     std::span<const std::int64_t> in) {
-  std::vector<std::int64_t> buf(in.begin(), in.end());
-  process_inplace(buf);
-  return buf;
-}
-
-void CicDecimator::process_inplace(std::vector<std::int64_t>& buf) {
-  // Block kernel: one sequential pass per integrator section, decimate,
-  // then one pass per comb section. Each sample undergoes exactly the
-  // same wrapped additions in the same order as the push() path (a
-  // section's output depends only on its own state and its input stream),
-  // so the result is bit-identical while every pass runs branch-free over
-  // contiguous memory at that section's rate.
-  const int shift = 64 - fmt_.width;
-  const auto wrap = [shift](std::int64_t v) {
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(v) << shift) >>
-           shift;
-  };
-
-  for (auto& v : buf) v = wrap(v);
-  for (auto& state : integ_) {
-    std::int64_t acc = state;
-    for (auto& v : buf) {
-      acc = wrap(acc + v);
-      v = acc;
-    }
-    state = acc;
+  std::vector<std::int64_t> out;
+  out.reserve(in.size() / static_cast<std::size_t>(spec_.decimation) + 1);
+  std::int64_t y = 0;
+  for (const std::int64_t x : in) {
+    if (push(x, y)) out.push_back(y);
   }
-
-  // Keep every decimation-th sample, honouring the phase carried over
-  // from any preceding push() calls.
-  const auto m = static_cast<std::size_t>(spec_.decimation);
-  const std::size_t skip =
-      (m - 1) - static_cast<std::size_t>(phase_) % m;  // first kept index
-  phase_ = static_cast<int>(
-      (static_cast<std::size_t>(phase_) + buf.size()) % m);
-  std::size_t n_out = 0;
-  for (std::size_t i = skip; i < buf.size(); i += m) buf[n_out++] = buf[i];
-  buf.resize(n_out);
-
-  for (auto& state : comb_) {
-    std::int64_t prev = state;
-    for (auto& v : buf) {
-      const std::int64_t cur = v;
-      v = wrap(cur - prev);
-      prev = cur;
-    }
-    state = prev;
-  }
+  return out;
 }
 
 CicDecimatorBank::CicDecimatorBank(design::CicSpec spec, std::size_t channels,
@@ -138,11 +97,11 @@ void CicDecimatorBank::reset() {
 }
 
 void CicDecimatorBank::process_inplace(std::vector<std::int64_t>& data) {
-  // The scalar block kernel with every element widened to a row of C
-  // channels: per-channel arithmetic and ordering are untouched, so each
-  // lane is bit-identical to a dedicated CicDecimator, while the inner
-  // channel loops are independent int64 lanes (wrap is add/and/xor/sub,
-  // no shifts, so SSE2/AVX2 can take them wholesale).
+  // push() with every sample widened to a row of C channels: per-channel
+  // arithmetic and ordering are untouched, so each lane is bit-identical
+  // to a dedicated CicDecimator, while the inner channel loops are
+  // independent int64 lanes (wrap is add/and/xor/sub, no shifts, so
+  // SSE2/AVX2 can take them wholesale).
   const soa::Wrap wrap(fmt_.width);
   const std::size_t C = channels_;
   if (data.size() % C != 0) {
@@ -152,11 +111,10 @@ void CicDecimatorBank::process_inplace(std::vector<std::int64_t>& data) {
   const std::size_t frames = data.size() / C;
 
   // One fused pass through the dispatched SIMD tier: integrator cascade,
-  // decimation (honouring the phase carried over from push() calls), and
-  // comb cascade, touching each input row once. The scalar kernel's
-  // separate input-wrap pass is folded into the first integrator section
-  // -- identical by modular arithmetic (wrap(st + wrap(v)) == wrap(st +
-  // v)).
+  // decimation (honouring the phase carried over from earlier blocks), and
+  // comb cascade, touching each input row once. push()'s input wrap is
+  // folded into the first integrator section -- identical by modular
+  // arithmetic (wrap(st + wrap(v)) == wrap(st + v)).
   const auto m = static_cast<std::size_t>(spec_.decimation);
   const std::size_t skip = (m - 1) - static_cast<std::size_t>(phase_) % m;
   phase_ = static_cast<int>((static_cast<std::size_t>(phase_) + frames) % m);
@@ -166,19 +124,20 @@ void CicDecimatorBank::process_inplace(std::vector<std::int64_t>& data) {
   data.resize(n_out * C);
 }
 
-void CicDecimatorBank::export_lane(std::size_t lane, CicDecimator& dst) const {
-  if (lane >= channels_) {
-    throw std::invalid_argument("CicDecimatorBank: export lane out of range");
+void CicDecimatorBank::copy_lane(std::size_t src_lane, CicDecimatorBank& dst,
+                                 std::size_t dst_lane) const {
+  if (src_lane >= channels_ || dst_lane >= dst.channels_) {
+    throw std::invalid_argument("CicDecimatorBank: copy lane out of range");
   }
   if (dst.spec_.order != spec_.order ||
       dst.spec_.decimation != spec_.decimation ||
       dst.fmt_.width != fmt_.width) {
-    throw std::invalid_argument("CicDecimatorBank: export spec mismatch");
+    throw std::invalid_argument("CicDecimatorBank: copy spec mismatch");
   }
   const auto order = static_cast<std::size_t>(spec_.order);
   for (std::size_t k = 0; k < order; ++k) {
-    dst.integ_[k] = integ_[k * channels_ + lane];
-    dst.comb_[k] = comb_[k * channels_ + lane];
+    dst.integ_[k * dst.channels_ + dst_lane] = integ_[k * channels_ + src_lane];
+    dst.comb_[k * dst.channels_ + dst_lane] = comb_[k * channels_ + src_lane];
   }
   dst.phase_ = phase_;
 }

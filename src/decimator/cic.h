@@ -35,16 +35,8 @@ class CicDecimator {
   /// Returns true and fills `out` every `decimation`-th sample.
   bool push(std::int64_t in, std::int64_t& out);
 
-  /// Process a block, returning the decimated samples. Runs the batched
-  /// section-at-a-time kernel (one sequential pass per integrator/comb
-  /// section); bit-identical to an equivalent sequence of push() calls
-  /// and freely mixable with them (state is shared).
+  /// push() over a block, returning the decimated samples.
   std::vector<std::int64_t> process(std::span<const std::int64_t> in);
-
-  /// Same kernel operating on a caller-owned buffer: `data` holds the
-  /// input block on entry and the decimated output on return. No
-  /// allocation happens when `data`'s capacity is reused across blocks.
-  void process_inplace(std::vector<std::int64_t>& data);
 
   void reset();
 
@@ -56,8 +48,6 @@ class CicDecimator {
   std::int64_t dc_gain() const;
 
  private:
-  friend class CicDecimatorBank;  // lane-state export (see export_lane)
-
   design::CicSpec spec_;
   CicHardwareOptions options_;
   fx::Format fmt_;
@@ -67,11 +57,12 @@ class CicDecimator {
 };
 
 /// N-channel lockstep CIC bank over channel-interleaved frames (element
-/// index = frame * channels + channel). Each channel runs the exact
-/// arithmetic of a dedicated CicDecimator -- same wrapped additions in the
-/// same order -- so per-channel output streams are bit-identical to the
-/// scalar stage; the channel-minor layout makes every inner loop a set of
-/// independent int64 lanes the compiler can vectorize.
+/// index = frame * channels + channel); the block form of the stage at
+/// every width, 1 included. Each channel runs the exact arithmetic of a
+/// dedicated CicDecimator -- same wrapped additions in the same order --
+/// so per-channel output streams are bit-identical to push(); the
+/// channel-minor layout makes every inner loop a set of independent int64
+/// lanes the compiler can vectorize.
 class CicDecimatorBank {
  public:
   CicDecimatorBank(design::CicSpec spec, std::size_t channels,
@@ -83,11 +74,13 @@ class CicDecimatorBank {
 
   void reset();
 
-  /// Copy lane `lane`'s streaming state into a scalar stage built from the
-  /// same spec, so `dst` continues the lane's sample stream bit-exactly
-  /// (accumulators, differentiator delays, decimation phase). Valid at any
-  /// block boundary -- the bank keeps one shared phase for all lanes.
-  void export_lane(std::size_t lane, CicDecimator& dst) const;
+  /// Copy lane `src_lane`'s streaming state (accumulators, differentiator
+  /// delays) into lane `dst_lane` of `dst`, a bank built from the same
+  /// spec, so that lane continues the stream bit-exactly. The decimation
+  /// phase is shared by all lanes and is copied too, so `dst`'s other
+  /// lanes must be at the same stream position (any 1-lane `dst` is).
+  void copy_lane(std::size_t src_lane, CicDecimatorBank& dst,
+                 std::size_t dst_lane) const;
 
   const design::CicSpec& spec() const { return spec_; }
   const fx::Format& register_format() const { return fmt_; }

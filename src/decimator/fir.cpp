@@ -39,8 +39,6 @@ FirDecimator::FirDecimator(FixedTaps taps, int decimation, fx::Format in_fmt,
       in_fmt_(in_fmt),
       out_fmt_(out_fmt),
       rounding_(rounding),
-      rq_(in_fmt.frac + taps_.frac_bits, out_fmt, rounding,
-          fx::event_counters("fir_out")),
       delay_(taps_.size(), 0) {
   if (decimation_ < 1) throw std::invalid_argument("FirDecimator: decimation >= 1");
   if (taps_.taps.empty()) throw std::invalid_argument("FirDecimator: empty taps");
@@ -50,14 +48,12 @@ void FirDecimator::reset() {
   std::fill(delay_.begin(), delay_.end(), 0);
   pos_ = 0;
   phase_ = 0;
-  filled_ = 0;
 }
 
 bool FirDecimator::push(std::int64_t in, std::int64_t& out) {
   delay_[pos_] = in;
   const std::size_t newest = pos_;
   pos_ = (pos_ + 1) % delay_.size();
-  if (filled_ < delay_.size()) ++filled_;
 
   const bool emit = (phase_ == 0);
   phase_ = (phase_ + 1) % decimation_;
@@ -78,52 +74,12 @@ bool FirDecimator::push(std::int64_t in, std::int64_t& out) {
 std::vector<std::int64_t> FirDecimator::process(
     std::span<const std::int64_t> in) {
   std::vector<std::int64_t> out;
-  process_into(in, out);
-  return out;
-}
-
-void FirDecimator::process_into(std::span<const std::int64_t> in,
-                                std::vector<std::int64_t>& out) {
-  // Block kernel: materialize the delay line plus the new block as one
-  // contiguous buffer so each output MAC is a linear dot product (no
-  // per-tap circular modulo), computed only at the decimation phase's
-  // emit positions. Accumulation order matches push() tap-for-tap; the
-  // full-precision int64 accumulator makes the sums bit-identical, and the
-  // inline requantize tallies push()'s round/saturate events per block.
-  const std::size_t tap_count = taps_.size();
-  // The prefix is the last tap_count-1 samples in chronological order;
-  // delay_[pos_] itself (pushed tap_count samples ago) is already out of
-  // every window.
-  ext_.resize(tap_count - 1 + in.size());
-  for (std::size_t j = 0; j + 1 < tap_count; ++j) {
-    ext_[j] = delay_[(pos_ + 1 + j) % tap_count];
-  }
-  for (std::size_t i = 0; i < in.size(); ++i) ext_[tap_count - 1 + i] = in[i];
-
-  soa::RequantTally tally;
-  out.clear();
   out.reserve(in.size() / static_cast<std::size_t>(decimation_) + 1);
-  const auto d = static_cast<std::size_t>(decimation_);
-  const std::size_t first =
-      (d - static_cast<std::size_t>(phase_)) % d;  // first emit index
-  for (std::size_t i = first; i < in.size(); i += d) {
-    const std::int64_t* window = ext_.data() + (tap_count - 1 + i);
-    std::int64_t acc = 0;
-    for (std::size_t k = 0; k < tap_count; ++k) {
-      acc += taps_.taps[k] * window[-static_cast<std::ptrdiff_t>(k)];
-    }
-    out.push_back(soa::requantize(acc, rq_, tally));
+  std::int64_t y = 0;
+  for (const std::int64_t x : in) {
+    if (push(x, y)) out.push_back(y);
   }
-  tally.flush(rq_);
-
-  // Commit the streaming state exactly as the equivalent pushes would.
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    delay_[pos_] = in[i];
-    pos_ = (pos_ + 1) % tap_count;
-  }
-  filled_ = std::min(tap_count, filled_ + in.size());
-  phase_ = static_cast<int>(
-      (static_cast<std::size_t>(phase_) + in.size()) % d);
+  return out;
 }
 
 FirDecimatorBank::FirDecimatorBank(FixedTaps taps, int decimation,
@@ -153,34 +109,29 @@ void FirDecimatorBank::reset() {
   phase_ = 0;
 }
 
-void FirDecimatorBank::export_lane(std::size_t lane, FirDecimator& dst) const {
-  if (lane >= channels_) {
-    throw std::invalid_argument("FirDecimatorBank: export lane out of range");
+void FirDecimatorBank::copy_lane(std::size_t src_lane, FirDecimatorBank& dst,
+                                 std::size_t dst_lane) const {
+  if (src_lane >= channels_ || dst_lane >= dst.channels_) {
+    throw std::invalid_argument("FirDecimatorBank: copy lane out of range");
   }
   if (dst.taps_.taps != taps_.taps || dst.taps_.frac_bits != taps_.frac_bits ||
       dst.decimation_ != decimation_) {
-    throw std::invalid_argument("FirDecimatorBank: export taps mismatch");
+    throw std::invalid_argument("FirDecimatorBank: copy taps mismatch");
   }
-  // Bank row r holds what the scalar stage stores at delay_[r]; the write
-  // cursor and decimation phase are shared across lanes.
-  const std::size_t tap_count = taps_.size();
-  for (std::size_t r = 0; r < tap_count; ++r) {
-    dst.delay_[r] = delay_[r * channels_ + lane];
+  for (std::size_t r = 0; r < taps_.size(); ++r) {
+    dst.delay_[r * dst.channels_ + dst_lane] = delay_[r * channels_ + src_lane];
   }
   dst.pos_ = pos_;
   dst.phase_ = phase_;
-  // filled_ only tracks warmup for introspection; the arithmetic never
-  // reads it, so "fully warm" keeps the scalar invariant filled_ <= taps.
-  dst.filled_ = tap_count;
 }
 
 void FirDecimatorBank::process_inplace(std::vector<std::int64_t>& data) {
-  // The scalar block kernel widened to channel rows: the window becomes
-  // (tap_count - 1 + frames) rows, each emit position a row of C
-  // independent MACs accumulated tap for tap in scalar order, and each
-  // output row one inline saturating requantize per lane with event
-  // tallies flushed in bulk (identical totals to the per-sample scalar
-  // counting).
+  // The delay line plus the new block become one contiguous window of
+  // (tap_count - 1 + frames) rows, so each emit position is a row of C
+  // independent linear MACs (no per-tap circular modulo), accumulated tap
+  // for tap in push() order; each output row is one inline saturating
+  // requantize per lane with event tallies flushed in bulk (identical
+  // totals to push()'s per-sample counting).
   const std::size_t C = channels_;
   if (data.size() % C != 0) {
     throw std::invalid_argument(
@@ -189,6 +140,8 @@ void FirDecimatorBank::process_inplace(std::vector<std::int64_t>& data) {
   const std::size_t frames = data.size() / C;
   const std::size_t tap_count = taps_.size();
 
+  // The prefix is the last tap_count - 1 rows in chronological order; row
+  // pos_ itself (written tap_count frames ago) is out of every window.
   ext_.resize((tap_count - 1 + frames) * C);
   for (std::size_t j = 0; j + 1 < tap_count; ++j) {
     const std::size_t row = (pos_ + 1 + j) % tap_count;

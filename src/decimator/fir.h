@@ -38,15 +38,8 @@ class FirDecimator {
   /// Push one input sample; true when an output is produced.
   bool push(std::int64_t in, std::int64_t& out);
 
-  /// Process a block. Runs the batched kernel (contiguous window, linear
-  /// dot products at the emit positions only); bit-identical to the
-  /// equivalent push() sequence and freely mixable with it.
+  /// push() over a block, returning the emitted samples.
   std::vector<std::int64_t> process(std::span<const std::int64_t> in);
-
-  /// Same kernel writing into a caller-owned vector; with reused capacity
-  /// (and the member window scratch) the steady state allocates nothing.
-  void process_into(std::span<const std::int64_t> in,
-                    std::vector<std::int64_t>& out);
 
   void reset();
 
@@ -56,24 +49,20 @@ class FirDecimator {
   const fx::Format& output_format() const { return out_fmt_; }
 
  private:
-  friend class FirDecimatorBank;  // lane-state export (see export_lane)
-
   FixedTaps taps_;
   int decimation_;
   fx::Format in_fmt_, out_fmt_;
   fx::Rounding rounding_;
-  soa::Requant rq_;                  ///< block-kernel output requantizer
   std::vector<std::int64_t> delay_;  ///< circular history
-  std::vector<std::int64_t> ext_;    ///< block-kernel window scratch
   std::size_t pos_ = 0;
   int phase_ = 0;
-  std::size_t filled_ = 0;
 };
 
 /// N-channel lockstep FIR/decimator bank over channel-interleaved frames
-/// (element index = frame * channels + channel). Per-channel accumulation
-/// order matches FirDecimator tap for tap, so each lane is bit-identical
-/// to the scalar stage (outputs and fx event counters alike).
+/// (element index = frame * channels + channel); the block form of the
+/// stage at every width, 1 included. Per-channel accumulation order
+/// matches FirDecimator::push tap for tap, so each lane is bit-identical
+/// to it (outputs and fx event counters alike).
 class FirDecimatorBank {
  public:
   /// Saturating output path only (what every chain stage uses).
@@ -87,10 +76,13 @@ class FirDecimatorBank {
 
   void reset();
 
-  /// Copy lane `lane`'s streaming state (delay line, write cursor,
-  /// decimation phase) into a scalar stage built from the same taps and
-  /// formats, so `dst` continues the lane's stream bit-exactly.
-  void export_lane(std::size_t lane, FirDecimator& dst) const;
+  /// Copy lane `src_lane`'s delay line into lane `dst_lane` of `dst`, a
+  /// bank built from the same taps, so that lane continues the stream
+  /// bit-exactly. The write cursor and decimation phase are shared by all
+  /// lanes and are copied too, so `dst`'s other lanes must be at the same
+  /// stream position (any 1-lane `dst` is).
+  void copy_lane(std::size_t src_lane, FirDecimatorBank& dst,
+                 std::size_t dst_lane) const;
 
   std::size_t channels() const { return channels_; }
   const FixedTaps& taps() const { return taps_; }

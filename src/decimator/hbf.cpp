@@ -26,8 +26,13 @@ HbfParams make_hbf_params(const design::SaramakiHbf& design, fx::Format in_fmt,
                               in_fmt.frac + guard_frac_bits};
   p.prod_fmt = fx::Format{in_fmt.width + 7 + guard_frac_bits,
                           in_fmt.frac + guard_frac_bits + 2};
-  if (design.f1.empty() || design.f2.empty()) {
-    throw std::invalid_argument("SaramakiHbfDecimator: empty design");
+  // The stage indexes f1/f2 and sizes every delay line from n1/n2; a
+  // design whose counts disagree with its CSD coefficients would read past
+  // them (a CFG1 frame can carry any combination).
+  if (design.n1 < 1 || design.n2 < 1 || design.f1_csd.size() != design.n1 ||
+      design.f2_csd.size() != design.n2) {
+    throw std::invalid_argument(
+        "SaramakiHbf: need n1 == f1_csd.size() >= 1, n2 == f2_csd.size() >= 1");
   }
   if (p.internal_fmt.width > 62) {
     throw std::invalid_argument("SaramakiHbfDecimator: internal width > 62");
@@ -77,7 +82,6 @@ SaramakiHbfDecimator::SaramakiHbfDecimator(const design::SaramakiHbf& design,
     // with the read-before-write access in push().
     branch_delay_[i - 1].assign((p_.big_d - (2 * i - 1) * p_.d2) / 2, 0);
   }
-  branch_scratch_.resize(p_.n1);
 }
 
 void SaramakiHbfDecimator::reset() {
@@ -181,123 +185,15 @@ bool SaramakiHbfDecimator::push(std::int64_t in, std::int64_t& out) {
   return true;
 }
 
-void SaramakiHbfDecimator::g2_block_pass(G2Block& b,
-                                         std::vector<std::int64_t>& stream,
-                                         soa::RequantTally& t_prod,
-                                         soa::RequantTally& t_int) {
-  // Vector form of G2Block::step over a whole even-phase stream: the
-  // circular history plus the incoming block become one contiguous
-  // buffer, so every output is a linear symmetric MAC. Tap order and the
-  // per-product requantization match step() exactly, so the pass is
-  // bit-identical to sample-at-a-time stepping.
-  const std::size_t n = b.hist.size();  // 2*n2
-  g2_ext_.resize(n + stream.size());
-  for (std::size_t j = 0; j < n; ++j) g2_ext_[j] = b.hist[(b.pos + j) % n];
-  std::copy(stream.begin(), stream.end(), g2_ext_.begin() + n);
-
-  const std::size_t n2 = p_.f2_coeffs.size();
-  for (std::size_t m = 0; m < stream.size(); ++m) {
-    const std::int64_t* newest = g2_ext_.data() + n + m;
-    std::int64_t acc = 0;
-    for (std::size_t j = 1; j <= n2; ++j) {
-      const std::int64_t near = newest[-static_cast<std::ptrdiff_t>(n2 - j)];
-      const std::int64_t far =
-          newest[-static_cast<std::ptrdiff_t>(n2 + j - 1)];
-      acc += soa::requantize(p_.f2_coeffs[j - 1] * (near + far), p_.rq_prod,
-                             t_prod);
-    }
-    stream[m] = soa::requantize(acc, p_.rq_int, t_int);
-  }
-
-  // Streaming state write-back: the history holds the block's last 2*n2
-  // input samples, with pos advanced as step() would have left it.
-  const std::size_t advanced = (b.pos + stream.size()) % n;
-  for (std::size_t j = 0; j < n; ++j) {
-    b.hist[(advanced + j) % n] = g2_ext_[stream.size() + j];
-  }
-  b.pos = advanced;
-}
-
 std::vector<std::int64_t> SaramakiHbfDecimator::process(
     std::span<const std::int64_t> in) {
   std::vector<std::int64_t> out;
-  process_into(in, out);
+  out.reserve(in.size() / 2 + 1);
+  std::int64_t y = 0;
+  for (const std::int64_t x : in) {
+    if (push(x, y)) out.push_back(y);
+  }
   return out;
-}
-
-void SaramakiHbfDecimator::process_into(std::span<const std::int64_t> in,
-                                        std::vector<std::int64_t>& out) {
-  // Batched polyphase kernel. push() interleaves the two phases sample by
-  // sample; here the block is split once and every branch runs as a
-  // vector pass at the output rate:
-  //   A. promote + phase split, harvesting the 0.5-path (odd) stream
-  //      through its delay line in push order;
-  //   B. the G2 cascade, one g2_block_pass per block;
-  //   C. branch-alignment delay lines, one pass per branch;
-  //   D. the f1 output combination.
-  // Every sample sees the identical operations in the identical order as
-  // push(), so outputs, state, and fx event-counter totals all match; the
-  // events are tallied per site and flushed once at the end of the block.
-  soa::RequantTally t_in, t_prod, t_int, t_out;
-
-  // --- A: promote into the guard format and split phases.
-  std::vector<std::int64_t>& even = even_scratch_;
-  std::vector<std::int64_t>& half_path = half_scratch_;
-  even.clear();
-  half_path.clear();
-  even.reserve(in.size() / 2 + 1);
-  half_path.reserve(in.size() / 2 + 1);
-  for (const std::int64_t s : in) {
-    const std::int64_t x = soa::requantize(s, p_.rq_in, t_in);
-    if (phase_ == 1) {
-      odd_delay_[opos_] = x;
-      opos_ = (opos_ + 1) % odd_delay_.size();
-      phase_ = 0;
-    } else {
-      // The read of the delay line happens before the paired odd sample's
-      // write, exactly as in the push() interleave.
-      half_path.push_back(odd_delay_[opos_]);
-      even.push_back(x);
-      phase_ = 1;
-    }
-  }
-
-  // --- B: G2 cascade; odd cascade outputs w1, w3, ... feed the branches.
-  std::vector<std::int64_t>& cur = even;
-  for (std::size_t k = 0; k < blocks_.size(); ++k) {
-    g2_block_pass(blocks_[k], cur, t_prod, t_int);
-    if (k % 2 == 0) {
-      branch_scratch_[k / 2].assign(cur.begin(), cur.end());
-    }
-  }
-
-  // --- C: align each branch (all but the last) through its delay line.
-  for (std::size_t i = 1; i < p_.n1; ++i) {
-    auto& line = branch_delay_[i - 1];
-    auto& p = bpos_[i - 1];
-    for (auto& w : branch_scratch_[i - 1]) {
-      const std::int64_t delayed = line[p];
-      line[p] = w;
-      p = (p + 1) % line.size();
-      w = delayed;
-    }
-  }
-
-  // --- D: 0.5 path + f1 taps in the power basis.
-  out.resize(half_path.size());
-  for (std::size_t m = 0; m < out.size(); ++m) {
-    std::int64_t acc =
-        soa::requantize(p_.half_coeff * half_path[m], p_.rq_prod, t_prod);
-    for (std::size_t i = 0; i < p_.n1; ++i) {
-      acc += soa::requantize(p_.f1_coeffs[i] * branch_scratch_[i][m],
-                             p_.rq_prod, t_prod);
-    }
-    out[m] = soa::requantize(acc, p_.rq_out, t_out);
-  }
-  t_in.flush(p_.rq_in);
-  t_prod.flush(p_.rq_prod);
-  t_int.flush(p_.rq_int);
-  t_out.flush(p_.rq_out);
 }
 
 SaramakiHbfBank::SaramakiHbfBank(const design::SaramakiHbf& design,
@@ -334,40 +230,36 @@ void SaramakiHbfBank::reset() {
   phase_ = 0;
 }
 
-void SaramakiHbfBank::export_lane(std::size_t lane,
-                                  SaramakiHbfDecimator& dst) const {
-  if (lane >= channels_) {
-    throw std::invalid_argument("SaramakiHbfBank: export lane out of range");
+void SaramakiHbfBank::copy_lane(std::size_t src_lane, SaramakiHbfBank& dst,
+                                std::size_t dst_lane) const {
+  if (src_lane >= channels_ || dst_lane >= dst.channels_) {
+    throw std::invalid_argument("SaramakiHbfBank: copy lane out of range");
   }
-  if (dst.p_.n1 != p_.n1 || dst.p_.n2 != p_.n2 || dst.p_.big_d != p_.big_d ||
+  if (dst.p_.n1 != p_.n1 || dst.p_.n2 != p_.n2 ||
       dst.p_.coeff_frac != p_.coeff_frac ||
       dst.p_.f2_coeffs != p_.f2_coeffs || dst.p_.f1_coeffs != p_.f1_coeffs) {
-    throw std::invalid_argument("SaramakiHbfBank: export design mismatch");
+    throw std::invalid_argument("SaramakiHbfBank: copy design mismatch");
   }
-  // Bank row r of every delay structure holds what the scalar stage stores
-  // at element r; all cursors (block_pos_, opos_, bpos_, phase_) are shared
-  // across lanes, so the export is a strided copy plus the cursor values.
-  const std::size_t C = channels_;
-  for (std::size_t k = 0; k < block_hist_.size(); ++k) {
-    auto& blk = dst.blocks_[k];
-    const std::size_t rows = blk.hist.size();
+  // Row r of every delay structure has the same meaning in both banks and
+  // all cursors are shared across lanes, so the copy is a strided lane
+  // copy per structure plus the cursor values.
+  const auto copy = [&](const std::vector<std::int64_t>& from,
+                        std::vector<std::int64_t>& to) {
+    const std::size_t rows = from.size() / channels_;
     for (std::size_t r = 0; r < rows; ++r) {
-      blk.hist[r] = block_hist_[k][r * C + lane];
+      to[r * dst.channels_ + dst_lane] = from[r * channels_ + src_lane];
     }
-    blk.pos = block_pos_[k];
+  };
+  for (std::size_t k = 0; k < block_hist_.size(); ++k) {
+    copy(block_hist_[k], dst.block_hist_[k]);
   }
-  const std::size_t odd_rows = odd_delay_.size() / C;
-  for (std::size_t r = 0; r < odd_rows; ++r) {
-    dst.odd_delay_[r] = odd_delay_[r * C + lane];
-  }
+  dst.block_pos_ = block_pos_;
+  copy(odd_delay_, dst.odd_delay_);
   dst.opos_ = opos_;
   for (std::size_t i = 0; i < branch_delay_.size(); ++i) {
-    const std::size_t rows = branch_delay_[i].size() / C;
-    for (std::size_t r = 0; r < rows; ++r) {
-      dst.branch_delay_[i][r] = branch_delay_[i][r * C + lane];
-    }
-    dst.bpos_[i] = bpos_[i];
+    copy(branch_delay_[i], dst.branch_delay_[i]);
   }
+  dst.bpos_ = bpos_;
   dst.phase_ = phase_;
 }
 
@@ -375,9 +267,11 @@ void SaramakiHbfBank::g2_bank_pass(std::size_t block,
                                    std::vector<std::int64_t>& stream,
                                    soa::RequantTally& t_prod,
                                    soa::RequantTally& t_int) {
-  // g2_block_pass with every sample widened to a row of C channels. The
-  // per-product requantize runs inline per lane in the scalar tap order,
-  // with events tallied in bulk.
+  // G2Block::step over a whole even-phase stream, every sample widened to
+  // a row of C channels: the circular history plus the incoming rows
+  // become one contiguous buffer, so every output row is a linear
+  // symmetric MAC. The per-product requantize runs inline per lane in
+  // step()'s tap order, with events tallied in bulk.
   const std::size_t C = channels_;
   const std::size_t n = 2 * p_.n2;  // history rows
   std::vector<std::int64_t>& hist = block_hist_[block];
@@ -411,30 +305,44 @@ void SaramakiHbfBank::process_inplace(std::vector<std::int64_t>& data) {
   }
   const std::size_t frames = data.size() / C;
 
-  // Events are tallied per site and flushed once at the end of the block.
+  // Batched polyphase form of push(). push() interleaves the two phases
+  // sample by sample; here the block is split once and every branch runs
+  // as a pass over rows at the output rate:
+  //   A. promote + phase split, harvesting the 0.5-path (odd) rows
+  //      through its delay line in push order;
+  //   B. the G2 cascade, one g2_bank_pass per block;
+  //   C. branch-alignment delay lines, one pass per branch;
+  //   D. the f1 output combination.
+  // Every sample sees the identical operations in the identical order as
+  // push(), so outputs, state, and fx event-counter totals all match; the
+  // events are tallied per site and flushed once at the end of the block.
   soa::RequantTally t_in, t_prod, t_int, t_out;
 
   // --- A: promote into the guard format, then split phase rows through
   // the 0.5-path delay line in push order.
   simd::kernels().requant_rows(data.data(), data.size(), p_.rq_in, t_in);
 
-  even_scratch_.clear();
-  half_scratch_.clear();
-  even_scratch_.reserve((frames / 2 + 1) * C);
-  half_scratch_.reserve((frames / 2 + 1) * C);
+  // Even frames are those met at phase 0; each takes one 0.5-path row.
+  const std::size_t out_frames =
+      (frames + 1 - static_cast<std::size_t>(phase_)) / 2;
+  even_scratch_.resize(out_frames * C);
+  half_scratch_.resize(out_frames * C);
+  std::int64_t* even = even_scratch_.data();
+  std::int64_t* half = half_scratch_.data();
   const std::size_t odd_rows = odd_delay_.size() / C;
   for (std::size_t f = 0; f < frames; ++f) {
     const std::int64_t* const row = data.data() + f * C;
+    std::int64_t* const odd = odd_delay_.data() + opos_ * C;
     if (phase_ == 1) {
-      std::copy_n(row, C, odd_delay_.data() + opos_ * C);
-      opos_ = (opos_ + 1) % odd_rows;
+      for (std::size_t c = 0; c < C; ++c) odd[c] = row[c];
+      if (++opos_ == odd_rows) opos_ = 0;
       phase_ = 0;
     } else {
       // Delay-line read precedes the paired odd row's write, as in push().
-      half_scratch_.insert(half_scratch_.end(),
-                           odd_delay_.data() + opos_ * C,
-                           odd_delay_.data() + (opos_ + 1) * C);
-      even_scratch_.insert(even_scratch_.end(), row, row + C);
+      for (std::size_t c = 0; c < C; ++c) half[c] = odd[c];
+      for (std::size_t c = 0; c < C; ++c) even[c] = row[c];
+      half += C;
+      even += C;
       phase_ = 1;
     }
   }
@@ -449,7 +357,6 @@ void SaramakiHbfBank::process_inplace(std::vector<std::int64_t>& data) {
   }
 
   // --- C: branch-alignment delay lines, row-wise swaps.
-  const std::size_t out_frames = half_scratch_.size() / C;
   for (std::size_t i = 1; i < p_.n1; ++i) {
     auto& line = branch_delay_[i - 1];
     auto& p = bpos_[i - 1];
@@ -458,7 +365,7 @@ void SaramakiHbfBank::process_inplace(std::vector<std::int64_t>& data) {
     for (std::size_t m = 0; m < out_frames; ++m) {
       std::swap_ranges(w.data() + m * C, w.data() + (m + 1) * C,
                        line.data() + p * C);
-      p = (p + 1) % rows;
+      if (++p == rows) p = 0;
     }
   }
 

@@ -30,9 +30,11 @@ namespace dsadc::decim {
 namespace hbf_detail {
 
 /// Everything derived from (design, formats, coeff/guard precision) that
-/// the scalar decimator and the multi-channel bank share. Throws
-/// std::invalid_argument for designs or formats the block kernels cannot
-/// run, so both forms refuse the same configs at construction.
+/// the push() reference and the bank share; the only way either is built.
+/// Throws std::invalid_argument for designs or formats the stage cannot
+/// run -- n1/n2 disagreeing with the CSD coefficient counts, empty
+/// subfilters, widths or shifts out of range -- so both forms refuse the
+/// same configs at construction.
 struct HbfParams {
   std::vector<std::int64_t> f2_coeffs;  ///< integer subfilter taps
   std::vector<std::int64_t> f1_coeffs;  ///< integer outer taps (power basis)
@@ -41,9 +43,9 @@ struct HbfParams {
   std::size_t n1 = 0, n2 = 0, d2 = 0, big_d = 0;
   fx::Format in_fmt, out_fmt, internal_fmt;
   fx::Format prod_fmt;  ///< post-multiplier format (narrow adder tree)
-  /// Block-kernel requantizers for the four sites: input promotion
-  /// (hbf_in), post-multiplier truncation (hbf_product), G2 output
-  /// (hbf_internal) and the final output (hbf_out).
+  /// Bank requantizers for the four sites: input promotion (hbf_in),
+  /// post-multiplier truncation (hbf_product), G2 output (hbf_internal)
+  /// and the final output (hbf_out).
   soa::Requant rq_in, rq_prod, rq_int, rq_out;
 };
 
@@ -66,17 +68,8 @@ class SaramakiHbfDecimator {
   /// the decimated output.
   bool push(std::int64_t in, std::int64_t& out);
 
-  /// Process a block. Runs the batched polyphase kernel (phase split, one
-  /// vector pass per G2 block / branch delay, then the f1 combination);
-  /// bit-identical to the equivalent push() sequence and freely mixable
-  /// with it (state is shared).
+  /// push() over a block, returning the decimated samples.
   std::vector<std::int64_t> process(std::span<const std::int64_t> in);
-
-  /// Same kernel writing into a caller-owned vector. All intermediate
-  /// streams live in member scratch buffers, so the steady state
-  /// allocates nothing once capacities have grown to the block size.
-  void process_into(std::span<const std::int64_t> in,
-                    std::vector<std::int64_t>& out);
 
   void reset();
 
@@ -89,8 +82,6 @@ class SaramakiHbfDecimator {
   std::size_t macs_per_output() const;
 
  private:
-  friend class SaramakiHbfBank;  // lane-state export (see export_lane)
-
   /// One G2 subfilter instance (even-phase, length 2*n2, symmetric).
   struct G2Block {
     std::vector<std::int64_t> hist;  // circular delay line, size 2*n2
@@ -106,11 +97,6 @@ class SaramakiHbfDecimator {
 
   std::int64_t requantize_product(std::int64_t prod) const;
   std::int64_t requantize_internal(std::int64_t acc) const;
-  /// Vector pass of `step` + requantize_internal over a whole even-phase
-  /// stream, updating `b`'s streaming state; rewrites `stream` in place.
-  /// Round/saturate events accumulate in the caller's tallies.
-  void g2_block_pass(G2Block& b, std::vector<std::int64_t>& stream,
-                     soa::RequantTally& t_prod, soa::RequantTally& t_int);
 
   hbf_detail::HbfParams p_;
 
@@ -122,20 +108,15 @@ class SaramakiHbfDecimator {
   std::vector<std::vector<std::int64_t>> branch_delay_;
   std::vector<std::size_t> bpos_;
   int phase_ = 0;
-
-  // Block-kernel scratch (reused across process calls; see process_into).
-  std::vector<std::int64_t> even_scratch_;
-  std::vector<std::int64_t> half_scratch_;
-  std::vector<std::int64_t> g2_ext_;
-  std::vector<std::vector<std::int64_t>> branch_scratch_;
 };
 
 /// N-channel lockstep Saramaki HBF bank over channel-interleaved frames
-/// (element index = frame * channels + channel). Every channel undergoes
-/// the exact per-sample operation sequence of a dedicated
-/// SaramakiHbfDecimator -- promote, per-product requantize, G2 cascade,
-/// branch alignment, f1 combination -- so each lane is bit-identical to
-/// the scalar stage, outputs and fx event-counter totals alike.
+/// (element index = frame * channels + channel); the block form of the
+/// stage at every width, 1 included. Every channel undergoes the exact
+/// per-sample operation sequence of SaramakiHbfDecimator::push --
+/// promote, per-product requantize, G2 cascade, branch alignment, f1
+/// combination -- so each lane is bit-identical to it, outputs and fx
+/// event-counter totals alike.
 class SaramakiHbfBank {
  public:
   SaramakiHbfBank(const design::SaramakiHbf& design, std::size_t channels,
@@ -148,11 +129,14 @@ class SaramakiHbfBank {
 
   void reset();
 
-  /// Copy lane `lane`'s streaming state into a scalar decimator built from
-  /// the same design/formats: G2 cascade histories + cursors, the 0.5-path
-  /// delay, branch delays, and the decimate-by-2 phase. `dst` then
-  /// continues the lane's stream bit-exactly from the next sample on.
-  void export_lane(std::size_t lane, SaramakiHbfDecimator& dst) const;
+  /// Copy lane `src_lane`'s streaming state (G2 cascade histories, the
+  /// 0.5-path delay, branch delays) into lane `dst_lane` of `dst`, a bank
+  /// built from the same design, so that lane continues the stream
+  /// bit-exactly. The cursors and the decimate-by-2 phase are shared by
+  /// all lanes and are copied too, so `dst`'s other lanes must be at the
+  /// same stream position (any 1-lane `dst` is).
+  void copy_lane(std::size_t src_lane, SaramakiHbfBank& dst,
+                 std::size_t dst_lane) const;
 
   std::size_t channels() const { return channels_; }
   std::size_t group_delay() const { return p_.big_d; }

@@ -1,18 +1,18 @@
-// Structure-of-arrays kernel support for the multi-channel bank stages.
+// Structure-of-arrays kernel support for the bank stages.
 //
 // The bank classes in cic/fir/hbf/scaler run N independent channels in
 // lockstep over channel-interleaved frames (element index = frame * C +
 // channel), so the per-channel recurrences become independent lanes and
-// the inner loops auto-vectorize. Bit-exactness against the scalar
-// stages requires reproducing fx::requantize digit for digit; Requant
+// the inner loops auto-vectorize; at N = 1 they are the chain's block
+// path. Bit-exactness against the push() references requires
+// reproducing fx::requantize digit for digit; Requant
 // precomputes the shift/round/clamp parameters once per call site and
 // applies them inline, tallying round/saturate events locally so the
 // per-event counter branches leave the inner loops. flush() adds the
 // tallies to the same fx.<event>.<site> counters the per-sample push()
 // references use, making counter totals identical for identical data.
-// Every block kernel -- bank and single-channel alike -- requantizes this
-// way; fx::requantize with a counter site is left to the push()/step()
-// reference paths.
+// Every bank kernel requantizes this way; fx::requantize with a counter
+// site is left to the push()/step() reference paths.
 #pragma once
 
 #include <cstdint>

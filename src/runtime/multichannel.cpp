@@ -11,7 +11,6 @@
 #include <string>
 #include <thread>
 
-#include "src/decimator/simd.h"
 #include "src/obs/metrics.h"
 
 namespace dsadc::runtime {
@@ -23,103 +22,6 @@ std::size_t configured_threads() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
-}
-
-ChainBank::ChainBank(const decim::ChainConfig& config, std::size_t lanes)
-    : lanes_(lanes),
-      renorm_(decim::cic_cascade_gain_log2(config), config.hbf_in_format,
-              fx::Rounding::kRoundNearest,
-              fx::event_counters("chain_hbf_in")),
-      hbf_(config.hbf, lanes, config.hbf_in_format, config.hbf_out_format,
-           config.hbf_coeff_frac_bits),
-      scaler_(config.scale, config.hbf_out_format, config.scaler_out_format,
-              /*frac_bits=*/14, /*max_digits=*/8),
-      equalizer_(decim::FixedTaps::from_real(config.equalizer_taps,
-                                             config.equalizer_frac_bits),
-                 /*decimation=*/1, lanes, config.scaler_out_format,
-                 config.output_format),
-      dst_(lanes) {
-  cic_.reserve(config.cic_stages.size());
-  for (const auto& spec : config.cic_stages) {
-    cic_.emplace_back(spec, lanes);
-  }
-}
-
-void ChainBank::reset() {
-  for (auto& c : cic_) c.reset();
-  hbf_.reset();
-  equalizer_.reset();
-}
-
-void ChainBank::process_inplace(std::vector<std::int64_t>& data) {
-  // Same stage sequence as DecimationChain::process, in bank form.
-  for (auto& c : cic_) c.process_inplace(data);
-
-  decim::soa::RequantTally tally;
-  decim::simd::kernels().requant_rows(data.data(), data.size(), renorm_,
-                                      tally);
-  tally.flush(renorm_);
-
-  hbf_.process_inplace(data);
-  scaler_.process_inplace(data);
-  equalizer_.process_inplace(data);
-}
-
-void ChainBank::process_rows(std::span<const std::int32_t* const> rows,
-                             std::size_t frames,
-                             std::span<std::vector<std::int64_t>> outs) {
-  if (rows.size() != lanes_ || outs.size() != lanes_) {
-    throw std::invalid_argument("ChainBank: one row and output per lane");
-  }
-  // Both copies run frame-major: the interleaved stream stays sequential
-  // (one cache line per 8 slots) while the other side fans across the
-  // lane streams -- lane-major order would touch a fresh line on every
-  // store once the chunk outgrows L1.
-  const std::size_t width = lanes_;
-  for (std::size_t base = 0; base < frames; base += kTransposeChunkFrames) {
-    const std::size_t chunk = std::min(kTransposeChunkFrames, frames - base);
-    buf_.resize(chunk * width);
-    std::int64_t* const buf = buf_.data();
-    for (std::size_t f = 0; f < chunk; ++f) {
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        buf[f * width + lane] = rows[lane][base + f];
-      }
-    }
-    process_inplace(buf_);
-    const std::size_t chunk_out = buf_.size() / width;
-    std::int64_t** const dst = dst_.data();
-    for (std::size_t lane = 0; lane < width; ++lane) {
-      const std::size_t off = outs[lane].size();
-      outs[lane].resize(off + chunk_out);
-      dst[lane] = outs[lane].data() + off;
-    }
-    const std::int64_t* const src = buf_.data();
-    for (std::size_t f = 0; f < chunk_out; ++f) {
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        dst[lane][f] = src[f * width + lane];
-      }
-    }
-  }
-}
-
-void ChainBank::export_lane(std::size_t lane,
-                            decim::DecimationChain& dst) const {
-  if (lane >= lanes_) {
-    throw std::invalid_argument("ChainBank: export lane out of range");
-  }
-  // Stage-by-stage state transplant (scaler and renorm are stateless).
-  // DecimationChain befriends ChainBank precisely for this: the bank IS the
-  // SoA form of the chain, so the per-stage exports land on the matching
-  // scalar stages and the chain continues the lane bit-exactly.
-  auto& stages = dst.cic_.stages();
-  if (stages.size() != cic_.size()) {
-    throw std::invalid_argument("ChainBank: export config mismatch");
-  }
-  for (std::size_t i = 0; i < cic_.size(); ++i) {
-    cic_[i].export_lane(lane, stages[i]);
-  }
-  hbf_.export_lane(lane, dst.hbf_);
-  equalizer_.export_lane(lane, dst.equalizer_);
 }
 
 MultiChannelRuntime::MultiChannelRuntime(const decim::ChainConfig& config,

@@ -4,11 +4,10 @@
 // channel-interleaved structure-of-arrays layout: channels are packed
 // into fixed-width groups (kGroupWidth lanes), each group is carried as
 // frames of `width` int64 lanes (element index = frame * width + lane),
-// and every chain stage runs its bank kernel (CicDecimatorBank,
-// SaramakiHbfBank, FirDecimatorBank, ...) over the whole group. The
-// per-lane arithmetic sequence is exactly DecimationChain::process, so
-// each channel's output stream -- and the fx.<event>.<site> saturation /
-// round counter totals -- are bit-identical to running N scalar chains.
+// and one decim::ChainBank runs every chain stage's bank kernel over the
+// whole group. DecimationChain is the same ChainBank at width 1, so each
+// channel's output stream -- and the fx.<event>.<site> saturation /
+// round counter totals -- are bit-identical to running N chains.
 //
 // ChainBank::process_rows is the one interleave -> bank -> deinterleave
 // loop: MultiChannelRuntime here and the session runtime's lockstep
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "src/decimator/chain.h"
-#include "src/decimator/soa.h"
 
 namespace dsadc::obs {
 class Counter;
@@ -43,58 +41,14 @@ namespace dsadc::runtime {
 /// groups for the worker pool at 64+ channels.
 inline constexpr std::size_t kGroupWidth = 32;
 
-/// Frames per ChainBank::process_rows chunk: the interleaved buffer of a
-/// full-width group (1024 x 32 int64) stays cache-resident across the
-/// bank's stages.
-inline constexpr std::size_t kTransposeChunkFrames = 1024;
+/// The lockstep chain and its transpose chunk live in decimator/chain.h
+/// (DecimationChain is a 1-lane ChainBank); the runtime re-exports them.
+using decim::ChainBank;
+using decim::kTransposeChunkFrames;
 
 /// Worker count for the runtime: DSADC_RUNTIME_THREADS when set (clamped
 /// to >= 1), else the hardware concurrency.
 std::size_t configured_threads();
-
-/// An N-lane lockstep DecimationChain over channel-interleaved frames:
-/// the bank form of every chain stage plus the CIC-gain renormalization
-/// between the Sinc cascade and the halfband. Lane c is bit-identical to
-/// a dedicated DecimationChain fed the same codes.
-class ChainBank {
- public:
-  ChainBank(const decim::ChainConfig& config, std::size_t lanes);
-
-  /// `data` holds modulator codes as channel-interleaved frames on entry
-  /// (size a multiple of `lanes`) and output-format samples on return.
-  void process_inplace(std::vector<std::int64_t>& data);
-
-  /// Lockstep transpose around process_inplace: `rows[lane]` points at
-  /// `frames` modulator codes for each of the `lanes()` lanes; each
-  /// lane's output samples are appended to `outs[lane]`. Runs in
-  /// kTransposeChunkFrames chunks through an owned interleave buffer
-  /// (the bank carries state across calls, so any chunking of the same
-  /// stream is bit-exact).
-  void process_rows(std::span<const std::int32_t* const> rows,
-                    std::size_t frames,
-                    std::span<std::vector<std::int64_t>> outs);
-
-  void reset();
-
-  /// Copy lane `lane`'s streaming state into a scalar chain constructed
-  /// from the same config, so `dst` continues that lane's sample stream --
-  /// and its fx event attribution -- bit-exactly from the next block on.
-  /// The batch serving mode uses this to dissolve a lockstep group back to
-  /// per-session scalar chains (stragglers, reconfigure, drain, close).
-  void export_lane(std::size_t lane, decim::DecimationChain& dst) const;
-
-  std::size_t lanes() const { return lanes_; }
-
- private:
-  std::size_t lanes_;
-  std::vector<decim::CicDecimatorBank> cic_;
-  decim::soa::Requant renorm_;  ///< CIC gain shift into the HBF format
-  decim::SaramakiHbfBank hbf_;
-  decim::ScalingStage scaler_;
-  decim::FirDecimatorBank equalizer_;
-  std::vector<std::int64_t> buf_;      ///< process_rows interleave scratch
-  std::vector<std::int64_t*> dst_;     ///< process_rows per-lane write heads
-};
 
 /// The streaming runtime: N channels, grouped into SoA banks, executed
 /// by an optional worker pool. Also publishes per-channel throughput

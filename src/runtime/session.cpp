@@ -48,9 +48,6 @@ std::uint32_t session_channel(std::uint64_t session) {
 
 }  // namespace
 
-SessionRuntime::BatchGroup::BatchGroup() = default;
-SessionRuntime::BatchGroup::~BatchGroup() = default;
-
 SessionRuntime::SessionRuntime(Options opts) : opts_(opts) {
   if (opts_.shards == 0) {
     throw std::invalid_argument("SessionRuntime: shards >= 1");
@@ -147,9 +144,10 @@ void SessionRuntime::run_job(Shard& shard, SessionJob& job) {
         Session s;
         s.config = job.config ? job.config : default_config();
         // The chain is built even for lockstep sessions: it validates the
-        // config up front and becomes the dissolve target (export_lane
-        // overwrites every piece of streaming state, so the zero-state
-        // chain parked here is always a correct landing pad).
+        // config up front and becomes the dissolve target (copy_lane
+        // overwrites every piece of its 1-lane bank's streaming state, so
+        // the zero-state chain parked here is always a correct landing
+        // pad).
         s.chain = std::make_unique<decim::DecimationChain>(*s.config);
         s.open_txn = txn.id();
         auto [sit, inserted] =
@@ -335,13 +333,14 @@ void SessionRuntime::run_batch_round(Shard& shard, BatchGroup& g,
 }
 
 void SessionRuntime::dissolve_group(Shard& shard, BatchGroup& g) {
-  // 1. Land every lane's bank state in its session's scalar chain. The
-  // chain parked at open (or rebuilt since) is overwritten wholesale by
-  // export_lane, so the lane's stream continues bit-exactly.
+  // 1. Copy every lane of the group's bank into lane 0 of its session's
+  // chain (a 1-lane bank of the same class). The chain parked at open (or
+  // rebuilt since) is overwritten wholesale by copy_lane, so the lane's
+  // stream continues bit-exactly.
   for (std::size_t lane = 0; lane < g.members.size(); ++lane) {
     auto it = shard.sessions.find(g.members[lane]);
     if (it == shard.sessions.end()) continue;
-    if (g.sealed) g.bank->export_lane(lane, *it->second.chain);
+    if (g.sealed) g.bank->copy_lane(lane, it->second.chain->bank(), 0);
     it->second.group = nullptr;
   }
   // 2. Detach the backlog, delete the group (replayed jobs must see

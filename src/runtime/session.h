@@ -34,13 +34,14 @@
 // blocks present at every lane run as one ChainBank::process_rows round
 // -- the same chunked interleave -> bank kernels (scalar/AVX2/AVX-512
 // dispatched) -> deinterleave loop MultiChannelRuntime uses -- back to
-// per-session results. Lane arithmetic is bit-identical to the scalar
-// chain, including fx saturate/round counter totals, so the fast path is
+// per-session results. A session's own DecimationChain is the same
+// ChainBank at width 1, so lane arithmetic is bit-identical to it,
+// including fx saturate/round counter totals, and the fast path is
 // invisible except in throughput. Stragglers (deep uneven backlogs),
 // unequal block lengths, the linger timer, or any lifecycle op dissolve
-// the group: ChainBank::export_lane lands each lane's streaming state in
-// the session's scalar chain and queued blocks replay scalar, preserving
-// per-session FIFO order.
+// the group: ChainBank::copy_lane copies each lane of the group's bank
+// into its session chain's 1-lane bank, and queued blocks replay on the
+// sessions' own chains, preserving per-session FIFO order.
 //
 // While observability is enabled the runtime publishes the
 // `service.inflight` gauge (admitted jobs not yet completed).
@@ -60,8 +61,6 @@
 #include "src/runtime/spsc.h"
 
 namespace dsadc::runtime {
-
-class ChainBank;  // SoA bank backing a lockstep batch group
 
 enum class SessionOp : std::uint8_t {
   kOpen,
@@ -168,13 +167,13 @@ class SessionRuntime {
     /// later jobs link their transactions to it as parent, so a whole
     /// session reads as one tree in the store.
     std::uint64_t open_txn = 0;
-    /// Lockstep batch membership. While grouped, `chain` is null -- the
-    /// session's streaming state lives in lane `lane` of the group's
-    /// ChainBank and is exported back into a fresh chain on dissolve.
+    /// Lockstep batch membership. While grouped, the session's streaming
+    /// state lives in lane `lane` of the group's ChainBank; `chain` stays
+    /// parked and dissolve copies the lane into it.
     BatchGroup* group = nullptr;
     std::size_t lane = 0;
-    /// The config this session was opened/reconfigured with (grouping key
-    /// and the blueprint for the dissolve-time scalar chain).
+    /// The config this session was opened/reconfigured with (the grouping
+    /// key).
     std::shared_ptr<const decim::ChainConfig> config;
   };
 
@@ -184,18 +183,16 @@ class SessionRuntime {
   /// its current width); after that, equal-length DATA blocks present at
   /// every lane are interleaved and run as one ChainBank round. Any
   /// lifecycle event, unequal block lengths, a deep straggler backlog, or
-  /// the linger timer dissolves the group: every lane's bank state is
-  /// exported into a fresh scalar chain and queued jobs replay scalar --
-  /// bit-exactly, since bank lanes and scalar chains are bit-identical.
+  /// the linger timer dissolves the group: every lane of the bank is
+  /// copied into its session's chain and queued jobs replay there --
+  /// bit-exactly, since a chain is a 1-lane bank of the same class.
   struct BatchGroup {
-    BatchGroup();
-    ~BatchGroup();  // out of line: ChainBank is incomplete here
 
     std::shared_ptr<const decim::ChainConfig> config;
     std::vector<std::uint64_t> members;  ///< session id per lane
     /// Per-lane FIFO of admitted-but-unprocessed kData jobs.
     std::vector<std::deque<SessionJob>> backlog;
-    std::unique_ptr<ChainBank> bank;  ///< created when the group seals
+    std::unique_ptr<decim::ChainBank> bank;  ///< created when the group seals
     bool sealed = false;
     std::size_t queued = 0;  ///< total backlog entries across lanes
     /// steady_clock us when the backlog last became blocked (some lane
@@ -233,8 +230,9 @@ class SessionRuntime {
   /// front blocks), then applies the straggler bound. May dissolve `g`.
   void pump_group(Shard& shard, BatchGroup& g);
   void run_batch_round(Shard& shard, BatchGroup& g, std::size_t frames);
-  /// Exports every lane's bank state into a fresh scalar chain, replays
-  /// the backlog through run_job (scalar path), and deletes the group.
+  /// Copies every lane of the bank into its session's chain, replays the
+  /// backlog through run_job (the sessions' own chains), and deletes the
+  /// group.
   void dissolve_group(Shard& shard, BatchGroup& g);
   /// Dissolves groups whose blocked backlog outlived batch_linger_us.
   void flush_stale_groups(Shard& shard, std::int64_t now_us);

@@ -1,11 +1,12 @@
-// Batch serving fast path: ChainBank lane export and SessionRuntime
+// Batch serving fast path: ChainBank lane copies and SessionRuntime
 // lockstep groups.
 //
 // The contract under test is bit-exactness of the served stream: whether
-// a session's blocks run through the SoA bank rounds, through the scalar
-// chain, or through any mix (group forms, seals, dissolves mid-stream),
-// the output samples AND the fx saturate/round counter totals must be
-// identical to one scalar DecimationChain fed the concatenated stream.
+// a session's blocks run through the group's bank rounds, through the
+// session's own chain, or through any mix (group forms, seals, dissolves
+// mid-stream), the output samples AND the fx saturate/round counter
+// totals must be identical to the push() oracle (tests/push_chain.h) fed
+// the concatenated stream.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -21,6 +22,7 @@
 #include "src/runtime/multichannel.h"
 #include "src/runtime/session.h"
 #include "src/verify/stimulus.h"
+#include "tests/push_chain.h"
 
 namespace {
 
@@ -37,21 +39,8 @@ std::vector<std::int32_t> stimulus_codes(verify::StimulusClass c,
   return codes;
 }
 
-std::map<std::string, std::uint64_t> fx_snapshot() {
-  static const char* kSites[] = {"chain_hbf_in", "hbf_in",     "hbf_product",
-                                 "hbf_internal", "hbf_out",    "scaler_out",
-                                 "fir_out"};
-  static const char* kEvents[] = {"saturate", "round", "wrap"};
-  std::map<std::string, std::uint64_t> snap;
-  auto& reg = obs::Registry::instance();
-  for (const char* site : kSites) {
-    for (const char* ev : kEvents) {
-      const std::string name = std::string("fx.") + ev + "." + site;
-      snap[name] = reg.counter(name).value();
-    }
-  }
-  return snap;
-}
+using testutil::fx_snapshot;
+using testutil::PushChain;
 
 class BatchTest : public ::testing::Test {
  protected:
@@ -83,13 +72,14 @@ struct Collector {
   }
 };
 
-// --- ChainBank lane export -----------------------------------------------
+// --- ChainBank lane copy -------------------------------------------------
 
 // Run a few bank rounds (deliberately including block lengths that leave
-// every stage's phase/cursors mid-cycle), export each lane to a scalar
-// chain, continue the stream on the scalar side, and compare against a
-// scalar chain that saw the whole stream. Also proves fx totals match.
-TEST_F(BatchTest, ExportLaneContinuesStreamBitExact) {
+// every stage's phase/cursors mid-cycle), copy each lane into a fresh
+// chain's 1-lane bank and, reversed, into the lanes of a second bank,
+// continue the stream on both, and compare against the push() oracle
+// over the whole stream. Also proves fx totals match.
+TEST_F(BatchTest, CopyLaneContinuesStreamBitExact) {
   const auto cfg = decim::paper_chain_config();
   constexpr std::size_t kLanes = 9;  // one stimulus class per lane
   const std::vector<std::size_t> prefix_blocks = {96, 160, 52};
@@ -110,68 +100,92 @@ TEST_F(BatchTest, ExportLaneContinuesStreamBitExact) {
     }
   }
 
-  // Reference pass: scalar chains over the concatenated streams.
-  std::vector<std::vector<std::int64_t>> want(kLanes);
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    decim::DecimationChain ref(cfg);
-    std::vector<std::int32_t> all = prefix[lane];
-    all.insert(all.end(), suffix[lane].begin(), suffix[lane].end());
-    want[lane] = ref.process(all);
-  }
-  const auto want_fx = fx_snapshot();
-  obs::Registry::instance().reset_all();
-
-  // Bank pass over the prefix, block by block.
-  runtime::ChainBank bank(cfg, kLanes);
-  std::vector<std::vector<std::int64_t>> got(kLanes);
-  std::size_t consumed = 0;
-  std::vector<std::int64_t> buf;
-  for (const std::size_t n : prefix_blocks) {
-    buf.resize(n * kLanes);
-    for (std::size_t f = 0; f < n; ++f) {
-      for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        buf[f * kLanes + lane] = prefix[lane][consumed + f];
-      }
-    }
-    bank.process_inplace(buf);
-    const std::size_t out_frames = buf.size() / kLanes;
+  for (const bool into_wide : {false, true}) {
+    SCOPED_TRACE(into_wide ? "into a 9-lane bank, reversed" : "into chains");
+    // Reference pass: push() oracles over the concatenated streams.
+    obs::Registry::instance().reset_all();
+    std::vector<std::vector<std::int64_t>> want(kLanes);
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      for (std::size_t f = 0; f < out_frames; ++f) {
-        got[lane].push_back(buf[f * kLanes + lane]);
+      std::vector<std::int32_t> all = prefix[lane];
+      all.insert(all.end(), suffix[lane].begin(), suffix[lane].end());
+      want[lane] = PushChain(cfg).process(all);
+    }
+    const auto want_fx = fx_snapshot();
+    obs::Registry::instance().reset_all();
+
+    // Bank pass over the prefix, block by block.
+    runtime::ChainBank bank(cfg, kLanes);
+    std::vector<std::vector<std::int64_t>> got(kLanes);
+    std::size_t consumed = 0;
+    std::vector<std::int64_t> buf;
+    for (const std::size_t n : prefix_blocks) {
+      buf.resize(n * kLanes);
+      for (std::size_t f = 0; f < n; ++f) {
+        for (std::size_t lane = 0; lane < kLanes; ++lane) {
+          buf[f * kLanes + lane] = prefix[lane][consumed + f];
+        }
+      }
+      bank.process_inplace(buf);
+      const std::size_t out_frames = buf.size() / kLanes;
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        for (std::size_t f = 0; f < out_frames; ++f) {
+          got[lane].push_back(buf[f * kLanes + lane]);
+        }
+      }
+      consumed += n;
+    }
+
+    if (into_wide) {
+      // Lane l continues in lane kLanes - 1 - l of a second bank.
+      runtime::ChainBank other(cfg, kLanes);
+      std::vector<const std::int32_t*> rows(kLanes);
+      std::vector<std::vector<std::int64_t>> tails(kLanes);
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        bank.copy_lane(lane, other, kLanes - 1 - lane);
+        rows[kLanes - 1 - lane] = suffix[lane].data();
+      }
+      other.process_rows(rows, suffix[0].size(), tails);
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        const auto& tail = tails[kLanes - 1 - lane];
+        got[lane].insert(got[lane].end(), tail.begin(), tail.end());
+      }
+    } else {
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        decim::DecimationChain chain(cfg);
+        bank.copy_lane(lane, chain.bank(), 0);
+        const auto tail = chain.process(suffix[lane]);
+        got[lane].insert(got[lane].end(), tail.begin(), tail.end());
       }
     }
-    consumed += n;
-  }
 
-  // Export every lane and continue scalar over the suffix.
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    decim::DecimationChain chain(cfg);
-    bank.export_lane(lane, chain);
-    const auto tail = chain.process(suffix[lane]);
-    got[lane].insert(got[lane].end(), tail.begin(), tail.end());
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      EXPECT_EQ(got[lane], want[lane])
+          << "lane " << lane << " ("
+          << verify::stimulus_name(static_cast<verify::StimulusClass>(lane))
+          << ")";
+    }
+    EXPECT_EQ(fx_snapshot(), want_fx);
   }
-
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    EXPECT_EQ(got[lane], want[lane])
-        << "lane " << lane << " ("
-        << verify::stimulus_name(static_cast<verify::StimulusClass>(lane))
-        << ")";
-  }
-  EXPECT_EQ(fx_snapshot(), want_fx);
 }
 
-TEST_F(BatchTest, ExportLaneRejectsBadLane) {
+TEST_F(BatchTest, CopyLaneRejectsBadLaneOrConfig) {
   const auto cfg = decim::paper_chain_config();
   runtime::ChainBank bank(cfg, 4);
   decim::DecimationChain chain(cfg);
-  EXPECT_THROW(bank.export_lane(4, chain), std::invalid_argument);
+  EXPECT_THROW(bank.copy_lane(4, chain.bank(), 0), std::invalid_argument);
+  EXPECT_THROW(bank.copy_lane(0, chain.bank(), 1), std::invalid_argument);
+  auto other_cfg = cfg;
+  other_cfg.equalizer_taps[0] += 0.25;
+  decim::DecimationChain other(other_cfg);
+  EXPECT_THROW(bank.copy_lane(0, other.bank(), 0), std::invalid_argument);
+  EXPECT_NO_THROW(bank.copy_lane(3, chain.bank(), 0));
 }
 
 // --- SessionRuntime lockstep groups --------------------------------------
 
 // 16 lockstep sessions over 4 shards (4-lane groups), streaming equal
 // blocks: every session's served stream and the fx totals must match
-// dedicated scalar chains.
+// push() oracles.
 TEST_F(BatchTest, LockstepGroupsServeBitExact) {
   const auto cfg =
       std::make_shared<const decim::ChainConfig>(decim::paper_chain_config());
@@ -194,7 +208,7 @@ TEST_F(BatchTest, LockstepGroupsServeBitExact) {
 
   std::vector<std::vector<std::int64_t>> want(kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
-    decim::DecimationChain ref(*cfg);
+    PushChain ref(*cfg);
     for (const auto& b : blocks[s]) {
       const auto out = ref.process(b);
       want[s].insert(want[s].end(), out.begin(), out.end());
@@ -276,7 +290,7 @@ TEST_F(BatchTest, StragglerDissolveStaysBitExact) {
 
   std::vector<std::vector<std::int64_t>> want(kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
-    decim::DecimationChain ref(*cfg);
+    PushChain ref(*cfg);
     for (const auto& b : codes[s]) {
       const auto out = ref.process(b);
       want[s].insert(want[s].end(), out.begin(), out.end());
@@ -344,7 +358,7 @@ TEST_F(BatchTest, UnequalBlockLengthsDissolveBitExact) {
   }
   std::vector<std::vector<std::int64_t>> want(kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
-    decim::DecimationChain ref(*cfg);
+    PushChain ref(*cfg);
     for (const auto& b : codes[s]) {
       const auto out = ref.process(b);
       want[s].insert(want[s].end(), out.begin(), out.end());
@@ -386,7 +400,7 @@ TEST_F(BatchTest, UnequalBlockLengthsDissolveBitExact) {
 // Reconfigure and drain mid-stream on grouped sessions: each lifecycle op
 // dissolves the group first, so its own semantics (fresh chain after
 // reconfigure, flush tail on drain) and every peer's continued stream
-// match the scalar reference.
+// match the push() oracle.
 TEST_F(BatchTest, LifecycleOpsDissolveBitExact) {
   const auto cfg =
       std::make_shared<const decim::ChainConfig>(decim::paper_chain_config());
@@ -408,18 +422,19 @@ TEST_F(BatchTest, LifecycleOpsDissolveBitExact) {
   // drains (flush tail = group delay of zeros).
   std::vector<std::vector<std::int64_t>> want(kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
-    decim::DecimationChain ref(*cfg);
+    PushChain ref(*cfg);
     for (std::size_t b = 0; b < 2; ++b) {
       const auto out = ref.process(codes[s][b]);
       want[s].insert(want[s].end(), out.begin(), out.end());
     }
-    if (s == 0) ref = decim::DecimationChain(*cfg);
+    if (s == 0) ref = PushChain(*cfg);
     for (std::size_t b = 2; b < 4; ++b) {
       const auto out = ref.process(codes[s][b]);
       want[s].insert(want[s].end(), out.begin(), out.end());
     }
+    const decim::DecimationChain pad_chain(*cfg);
     const std::vector<std::int32_t> zeros(
-        runtime::SessionRuntime::drain_pad_frames(ref), 0);
+        runtime::SessionRuntime::drain_pad_frames(pad_chain), 0);
     const auto tail = ref.process(zeros);
     want[s].insert(want[s].end(), tail.begin(), tail.end());
   }
@@ -496,7 +511,7 @@ TEST_F(BatchTest, DeterministicAcrossWorkerCounts) {
   }
   std::vector<std::vector<std::int64_t>> want(kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
-    decim::DecimationChain ref(*cfg);
+    PushChain ref(*cfg);
     for (const auto& b : blocks[s]) {
       const auto out = ref.process(b);
       want[s].insert(want[s].end(), out.begin(), out.end());

@@ -19,6 +19,7 @@
 #include "src/obs/obs.h"
 #include "src/runtime/multichannel.h"
 #include "src/verify/stimulus.h"
+#include "tests/push_chain.h"
 
 namespace {
 
@@ -47,74 +48,8 @@ class ChainTest : public ::testing::Test {
 decim::ChainConfig* ChainTest::cfg_ = nullptr;
 mod::CiffCoeffs* ChainTest::coeffs_ = nullptr;
 
-/// Every fx.round.* / fx.saturate.* / fx.wrap.* counter of the chain's
-/// requantization sites.
-std::map<std::string, std::uint64_t> fx_snapshot() {
-  static const char* kSites[] = {"chain_hbf_in", "hbf_in",     "hbf_product",
-                                 "hbf_internal", "hbf_out",    "scaler_out",
-                                 "fir_out"};
-  static const char* kEvents[] = {"saturate", "round", "wrap"};
-  std::map<std::string, std::uint64_t> snap;
-  auto& reg = obs::Registry::instance();
-  for (const char* site : kSites) {
-    for (const char* ev : kEvents) {
-      const std::string name = std::string("fx.") + ev + "." + site;
-      snap[name] = reg.counter(name).value();
-    }
-  }
-  return snap;
-}
-
-/// DecimationChain::process sample by sample: every stage's push()
-/// reference, and fx::requantize for the CIC renormalization, so each fx
-/// event is counted per hit instead of tallied per block.
-class PushChain {
- public:
-  explicit PushChain(const decim::ChainConfig& cfg)
-      : cfg_(cfg),
-        cic_(cfg.cic_stages),
-        hbf_(cfg.hbf, cfg.hbf_in_format, cfg.hbf_out_format,
-             cfg.hbf_coeff_frac_bits),
-        scaler_(cfg.scale, cfg.hbf_out_format, cfg.scaler_out_format,
-                /*frac_bits=*/14, /*max_digits=*/8),
-        equalizer_(decim::FixedTaps::from_real(cfg.equalizer_taps,
-                                               cfg.equalizer_frac_bits),
-                   /*decimation=*/1, cfg.scaler_out_format,
-                   cfg.output_format),
-        gain_log2_(decim::cic_cascade_gain_log2(cfg)) {}
-
-  std::vector<std::int64_t> push_all(std::span<const std::int32_t> codes) {
-    static const fx::EventCounters& renorm =
-        fx::event_counters("chain_hbf_in");
-    std::vector<std::int64_t> out;
-    for (const std::int32_t code : codes) {
-      std::int64_t v = code;
-      bool emitted = true;
-      for (auto& stage : cic_.stages()) {
-        if (!stage.push(v, v)) {
-          emitted = false;
-          break;
-        }
-      }
-      if (!emitted) continue;
-      v = fx::requantize(v, gain_log2_, cfg_.hbf_in_format,
-                         fx::Rounding::kRoundNearest, fx::Overflow::kSaturate,
-                         &renorm);
-      if (!hbf_.push(v, v)) continue;
-      v = scaler_.push(v);
-      if (equalizer_.push(v, v)) out.push_back(v);
-    }
-    return out;
-  }
-
- private:
-  decim::ChainConfig cfg_;
-  decim::CicCascade cic_;
-  decim::SaramakiHbfDecimator hbf_;
-  decim::ScalingStage scaler_;
-  decim::FirDecimator equalizer_;
-  int gain_log2_;
-};
+using testutil::fx_snapshot;
+using testutil::PushChain;
 
 TEST_F(ChainTest, RatesAndDecimation) {
   decim::DecimationChain chain(*cfg_);
@@ -292,7 +227,7 @@ TEST_F(ChainTest, BlockCountersMatchPushReference) {
   for (const decim::ChainConfig* cfg : {cfg_, &loud}) {
     reg.reset_all();
     PushChain ref(*cfg);
-    const auto want = ref.push_all(dsm.codes);
+    const auto want = ref.process(dsm.codes);
     const auto want_fx = fx_snapshot();
     EXPECT_GT(reg.counter_total("fx.round."), 0u);
     if (cfg == &loud) {
@@ -310,6 +245,54 @@ TEST_F(ChainTest, BlockCountersMatchPushReference) {
       }
       EXPECT_EQ(got, want) << "block " << block;
       EXPECT_EQ(fx_snapshot(), want_fx) << "block " << block;
+    }
+  }
+}
+
+// DecimationChain, a 1-lane bank and a 5-lane bank all run the bank
+// kernels (the first two through the width-1 instantiation); every lane
+// must match its own push() reference, samples and per-site fx counters,
+// whatever the block split. process_rows' 1024-frame transpose chunks put
+// a chunk edge inside the 4096-frame blocks.
+TEST_F(ChainTest, BankWidthsMatchPushReferenceAcrossSplits) {
+  if (!obs::kCompiledOn) GTEST_SKIP() << "instrumentation compiled out";
+  obs::set_enabled(true);
+  auto& reg = obs::Registry::instance();
+  decim::ChainConfig loud = *cfg_;
+  loud.scale *= 4.0;
+  const auto dsm = run_modulator(1 << 13, 0.81);
+  const std::size_t n = dsm.codes.size();
+  for (const decim::ChainConfig* cfg : {cfg_, &loud}) {
+    for (const std::size_t lanes : {1u, 5u}) {
+      // Lane l streams the modulator output rotated by l * 1001 codes.
+      std::vector<std::vector<std::int32_t>> codes(lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        codes[l].resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          codes[l][i] = dsm.codes[(i + l * 1001) % n];
+        }
+      }
+      reg.reset_all();
+      std::vector<std::vector<std::int64_t>> want(lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        want[l] = PushChain(*cfg).process(codes[l]);
+      }
+      const auto want_fx = fx_snapshot();
+      for (const std::size_t block : {1u, 7u, 256u, 4096u}) {
+        reg.reset_all();
+        decim::ChainBank bank(*cfg, lanes);
+        std::vector<std::vector<std::int64_t>> got(lanes);
+        std::vector<const std::int32_t*> rows(lanes);
+        for (std::size_t pos = 0; pos < n; pos += block) {
+          for (std::size_t l = 0; l < lanes; ++l) {
+            rows[l] = codes[l].data() + pos;
+          }
+          bank.process_rows(rows, std::min(block, n - pos), got);
+        }
+        EXPECT_EQ(got, want) << lanes << " lanes, block " << block;
+        EXPECT_EQ(fx_snapshot(), want_fx)
+            << lanes << " lanes, block " << block;
+      }
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include "src/decimator/cic.h"
 #include "src/dsp/freqz.h"
+#include "tests/push_chain.h"
 
 namespace {
 
@@ -123,6 +124,35 @@ TEST(CicImpl, RejectsBadSpecs) {
   EXPECT_THROW(CicDecimator(CicSpec{0, 2, 4}), std::invalid_argument);
   EXPECT_THROW(CicDecimator(CicSpec{4, 1, 4}), std::invalid_argument);
   EXPECT_THROW(CicDecimator(CicSpec{20, 8, 16}), std::invalid_argument);
+}
+
+// CicDecimatorBank is the stage's block form (DecimationChain runs it at
+// one lane). At 1 and 3 lanes, every lane must equal push() over the same
+// stream whatever the block split, with registers that wrap.
+TEST(CicBank, LanesMatchPushForAnyBlockSplit) {
+  for (const CicSpec spec : {CicSpec{4, 2, 4}, CicSpec{6, 2, 12},
+                             CicSpec{3, 5, 8}}) {
+    for (const std::size_t lanes : {1u, 3u}) {
+      std::vector<std::vector<std::int64_t>> in;
+      std::vector<std::vector<std::int64_t>> want;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        in.push_back(random_codes(4099, spec.input_bits,
+                                  static_cast<unsigned>(17 + l)));
+        CicDecimator ref(spec);
+        want.emplace_back();
+        std::int64_t y = 0;
+        for (const std::int64_t x : in.back()) {
+          if (ref.push(x, y)) want.back().push_back(y);
+        }
+      }
+      for (const std::size_t block : {1u, 7u, 256u, 4096u}) {
+        decim::CicDecimatorBank bank(spec, lanes);
+        EXPECT_EQ(testutil::run_bank(bank, in, block), want)
+            << "K=" << spec.order << " M=" << spec.decimation << ", "
+            << lanes << " lanes, block " << block;
+      }
+    }
+  }
 }
 
 TEST(CicCascadeImpl, PaperChainGainAndDecimation) {

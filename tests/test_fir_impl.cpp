@@ -8,6 +8,8 @@
 
 #include "src/decimator/fir.h"
 #include "src/filterdesign/halfband.h"
+#include "src/obs/obs.h"
+#include "tests/push_chain.h"
 
 namespace {
 
@@ -124,6 +126,49 @@ TEST(Polyphase, RejectsNonHalfband) {
   EXPECT_THROW(PolyphaseHalfbandDecimator(bad, fx::Format{8, 0},
                                           fx::Format{8, 0}),
                std::invalid_argument);
+}
+
+// FirDecimatorBank is the stage's block form (DecimationChain runs it at
+// one lane). At 1 and 3 lanes and decimations 1 and 3, every lane must
+// equal push() -- samples and the fir_out fx counters -- whatever the
+// block split, with taps loud enough to saturate.
+TEST(FirDecimatorBank, LanesMatchPushForAnyBlockSplit) {
+  if (!obs::kCompiledOn) GTEST_SKIP() << "instrumentation compiled out";
+  obs::set_enabled(true);
+  auto& reg = obs::Registry::instance();
+  const std::vector<double> taps{0.3, -0.7, 1.9, 2.6, 1.9, -0.7, 0.3};
+  const FixedTaps ft = FixedTaps::from_real(taps, 10);
+  const fx::Format in_fmt{12, 0};
+  const fx::Format out_fmt{12, 0};
+  for (const int decimation : {1, 3}) {
+    for (const std::size_t lanes : {1u, 3u}) {
+      std::vector<std::vector<std::int64_t>> in;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        in.push_back(random_samples(4099, 12, static_cast<unsigned>(40 + l)));
+      }
+      reg.reset_all();
+      std::vector<std::vector<std::int64_t>> want(lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        FirDecimator ref(ft, decimation, in_fmt, out_fmt);
+        std::int64_t y = 0;
+        for (const std::int64_t x : in[l]) {
+          if (ref.push(x, y)) want[l].push_back(y);
+        }
+      }
+      const auto want_fx = testutil::fx_snapshot();
+      EXPECT_GT(reg.counter("fx.saturate.fir_out").value(), 0u);
+      for (const std::size_t block : {1u, 7u, 256u, 4096u}) {
+        reg.reset_all();
+        decim::FirDecimatorBank bank(ft, decimation, lanes, in_fmt, out_fmt);
+        EXPECT_EQ(testutil::run_bank(bank, in, block), want)
+            << "M=" << decimation << ", " << lanes << " lanes, block "
+            << block;
+        EXPECT_EQ(testutil::fx_snapshot(), want_fx)
+            << "M=" << decimation << ", " << lanes << " lanes, block "
+            << block;
+      }
+    }
+  }
 }
 
 TEST(FirDecimator, ResetClearsHistory) {

@@ -9,6 +9,8 @@
 #include "src/decimator/fir.h"
 #include "src/decimator/hbf.h"
 #include "src/filterdesign/saramaki.h"
+#include "src/obs/obs.h"
+#include "tests/push_chain.h"
 
 namespace {
 
@@ -129,6 +131,46 @@ TEST_F(HbfImpl, ResetIsDeterministic) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
 
+// SaramakiHbfBank is the stage's block form (DecimationChain runs it at
+// one lane). At 1 and 3 lanes, every lane must equal push() -- samples and
+// the hbf_* fx counters -- whatever the block split, including odd splits
+// that leave the decimate-by-2 phase mid-pair and inputs that saturate.
+TEST_F(HbfImpl, BankLanesMatchPushForAnyBlockSplit) {
+  if (!obs::kCompiledOn) GTEST_SKIP() << "instrumentation compiled out";
+  obs::set_enabled(true);
+  auto& reg = obs::Registry::instance();
+  const fx::Format fmt{18, 14};
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<std::int64_t> dist(fmt.raw_min(),
+                                                   fmt.raw_max());
+  for (const std::size_t lanes : {1u, 3u}) {
+    std::vector<std::vector<std::int64_t>> in(lanes);
+    for (auto& lane : in) {
+      lane.resize(4099);
+      for (auto& x : lane) x = dist(rng);
+    }
+    reg.reset_all();
+    std::vector<std::vector<std::int64_t>> want(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      SaramakiHbfDecimator ref(*design_, fmt, fmt);
+      std::int64_t y = 0;
+      for (const std::int64_t x : in[l]) {
+        if (ref.push(x, y)) want[l].push_back(y);
+      }
+    }
+    const auto want_fx = testutil::fx_snapshot();
+    EXPECT_GT(reg.counter_total("fx.saturate."), 0u);
+    for (const std::size_t block : {1u, 7u, 256u, 4096u}) {
+      reg.reset_all();
+      decim::SaramakiHbfBank bank(*design_, lanes, fmt, fmt);
+      EXPECT_EQ(testutil::run_bank(bank, in, block), want)
+          << lanes << " lanes, block " << block;
+      EXPECT_EQ(testutil::fx_snapshot(), want_fx)
+          << lanes << " lanes, block " << block;
+    }
+  }
+}
+
 TEST_F(HbfImpl, MacCountMatchesStructure) {
   SaramakiHbfDecimator hbf(*design_, fx::Format{18, 14}, fx::Format{18, 14});
   EXPECT_EQ(hbf.macs_per_output(), 5u * 6u + 3u);
@@ -142,6 +184,31 @@ TEST(HbfImplErrors, RejectsEmptyDesignAndWideFormats) {
   const auto d = design::design_saramaki_hbf(2, 4, 0.2, 24, 0);
   EXPECT_THROW(SaramakiHbfDecimator(d, fx::Format{55, 0}, fx::Format{18, 14}),
                std::invalid_argument);
+}
+
+// n1/n2 size every delay line and index f1/f2; a design (e.g. decoded from
+// a CFG1 frame) whose counts disagree with its CSD coefficients would read
+// past them. Both forms refuse it at construction.
+TEST(HbfImplErrors, RejectsCountsThatDisagreeWithCoefficients) {
+  const fx::Format fmt{18, 14};
+  const auto good = design::design_saramaki_hbf(3, 6, 0.2125, 24, 0);
+  EXPECT_NO_THROW(SaramakiHbfDecimator(good, fmt, fmt));
+  std::vector<design::SaramakiHbf> bad(6, good);
+  bad[0].n1 = 4;
+  bad[1].n2 = 9;
+  bad[2].n1 = 0;
+  bad[3].f1_csd.pop_back();
+  bad[4].f2_csd.clear();
+  bad[5].n2 = 0;
+  bad[5].f2_csd.clear();
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(SaramakiHbfDecimator(bad[i], fmt, fmt),
+                 std::invalid_argument)
+        << i;
+    EXPECT_THROW(decim::SaramakiHbfBank(bad[i], 4, fmt, fmt),
+                 std::invalid_argument)
+        << i;
+  }
 }
 
 }  // namespace

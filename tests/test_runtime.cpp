@@ -1,7 +1,7 @@
-// Multi-channel runtime: bit-exactness against the scalar DecimationChain
-// (outputs AND fx saturation/round counter totals), determinism across
-// worker counts, the ChainBank transpose chunk edges, and the MPMC ring
-// protocol.
+// Multi-channel runtime: bit-exactness against the push() oracle of
+// tests/push_chain.h (outputs AND fx saturation/round counter totals),
+// determinism across worker counts, the ChainBank transpose chunk edges,
+// and the MPMC ring protocol.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "src/runtime/multichannel.h"
 #include "src/runtime/spsc.h"
 #include "src/verify/stimulus.h"
+#include "tests/push_chain.h"
 
 namespace {
 
@@ -55,26 +56,8 @@ std::vector<std::int32_t> stimulus_codes(verify::StimulusClass c,
   return codes;
 }
 
-/// The fx event-counter totals the chain's requantization sites produce.
-/// Counter names are stable; equality of the whole map proves the bank
-/// kernels made the identical per-sample round and saturate
-/// decisions as the scalar chain.
-std::map<std::string, std::uint64_t> fx_snapshot() {
-  static const char* kSites[] = {"chain_hbf_in", "hbf_in",     "hbf_product",
-                                 "hbf_internal", "hbf_out",    "scaler_out",
-                                 "fir_out"};
-  static const char* kEvents[] = {"saturate", "round", "wrap"};
-  std::map<std::string, std::uint64_t> snap;
-  auto& reg = obs::Registry::instance();
-  for (const char* site : kSites) {
-    for (const char* ev : kEvents) {
-      const std::string name =
-          std::string("fx.") + ev + "." + site;
-      snap[name] = reg.counter(name).value();
-    }
-  }
-  return snap;
-}
+using testutil::fx_snapshot;
+using testutil::PushChain;
 
 class RuntimeTest : public ::testing::Test {
  protected:
@@ -255,12 +238,11 @@ TEST_F(RuntimeTest, MultiChannelMatchesScalarChainAllStimuli) {
       codes.push_back(stimulus_codes(cls, kFrames, rng));
     }
 
-    // Reference: one scalar chain per channel, counting fx events.
+    // Reference: one push() oracle per channel, counting fx events.
     obs::Registry::instance().reset_all();
     std::vector<std::vector<std::int64_t>> ref;
     for (std::size_t c = 0; c < kChannels; ++c) {
-      decim::DecimationChain chain(cfg);
-      ref.push_back(chain.process(codes[c]));
+      ref.push_back(PushChain(cfg).process(codes[c]));
     }
     const auto ref_fx = fx_snapshot();
 
@@ -285,7 +267,7 @@ TEST_F(RuntimeTest, MultiChannelMatchesScalarChainAllStimuli) {
 
 TEST_F(RuntimeTest, MultiChannelStreamingMatchesScalarTicks) {
   // Two consecutive process() ticks must carry state exactly like two
-  // scalar process() calls on persistent chains.
+  // process() calls on persistent push() oracles.
   const auto cfg = decim::paper_chain_config();
   constexpr std::size_t kChannels = 9;
   const std::uint32_t seed = fuzz_seed(23);
@@ -298,7 +280,7 @@ TEST_F(RuntimeTest, MultiChannelStreamingMatchesScalarTicks) {
     tick2.push_back(stimulus_codes(verify::StimulusClass::kPrbs, 1333, rng));
   }
 
-  std::vector<decim::DecimationChain> chains;
+  std::vector<PushChain> chains;
   for (std::size_t c = 0; c < kChannels; ++c) chains.emplace_back(cfg);
   runtime::MultiChannelRuntime rt(cfg, kChannels);
 
@@ -352,8 +334,7 @@ TEST_F(RuntimeTest, MultiChannelFuzzMatchesScalar) {
     runtime::MultiChannelRuntime rt(cfg, channels);
     const auto got = rt.process(codes);
     for (std::size_t c = 0; c < channels; ++c) {
-      decim::DecimationChain chain(cfg);
-      const auto ref = chain.process(codes[c]);
+      const auto ref = PushChain(cfg).process(codes[c]);
       ASSERT_EQ(got[c], ref)
           << "trial " << trial << " channel " << c << " class "
           << verify::stimulus_name(cls) << " (DSADC_FUZZ_SEED=" << seed
@@ -367,8 +348,8 @@ TEST_F(RuntimeTest, MultiChannelFuzzMatchesScalar) {
 // process_rows must be bit-exact on both sides of every kTransposeChunkFrames
 // edge. One bank per width is fed the frame counts in sequence, so later
 // calls also start mid-cycle in every stage's decimation phase; each call's
-// appended output and the whole run's fx totals must match one scalar
-// chain per lane.
+// appended output and the whole run's fx totals must match one push()
+// oracle per lane.
 TEST_F(RuntimeTest, ProcessRowsChunkEdgesMatchScalarChains) {
   static_assert(runtime::kTransposeChunkFrames == 1024);
   const auto cfg = decim::paper_chain_config();
@@ -389,7 +370,7 @@ TEST_F(RuntimeTest, ProcessRowsChunkEdgesMatchScalarChains) {
     }
 
     obs::Registry::instance().reset_all();
-    std::vector<decim::DecimationChain> chains;
+    std::vector<PushChain> chains;
     for (std::size_t lane = 0; lane < width; ++lane) chains.emplace_back(cfg);
     std::vector<std::vector<std::vector<std::int64_t>>> want;
     for (const auto& call : calls) {
@@ -425,8 +406,8 @@ TEST_F(RuntimeTest, ProcessRowsChunkEdgesMatchScalarChains) {
 TEST_F(RuntimeTest, ConcurrentScalarChainsSumToSequentialCounters) {
   // Scalar chains on two threads flush their per-block fx tallies into
   // the same shared counters at once. The per-site deltas must add up to
-  // what the same two runs leave one after the other (and the outputs
-  // must not depend on the interleaving).
+  // what the push() oracles count over the same two streams (and the
+  // outputs must not depend on the interleaving).
   if (!obs::kCompiledOn) GTEST_SKIP() << "instrumentation compiled out";
   decim::ChainConfig cfg = decim::paper_chain_config();
   cfg.scale *= 4.0;  // saturates, so the saturate counters move too
@@ -447,7 +428,8 @@ TEST_F(RuntimeTest, ConcurrentScalarChainsSumToSequentialCounters) {
   };
 
   obs::Registry::instance().reset_all();
-  const std::vector<std::vector<std::int64_t>> want = {run(0), run(1)};
+  const std::vector<std::vector<std::int64_t>> want = {
+      PushChain(cfg).process(codes[0]), PushChain(cfg).process(codes[1])};
   const auto want_fx = fx_snapshot();
   ASSERT_GT(obs::Registry::instance().counter_total("fx.saturate."), 0u);
 

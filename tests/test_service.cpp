@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "src/service/server.h"
 #include "src/service/wire.h"
 #include "src/verify/stimulus.h"
+#include "tests/push_chain.h"
 
 namespace {
 
@@ -50,25 +52,11 @@ std::vector<std::int32_t> stimulus_codes(verify::StimulusClass c,
   return codes;
 }
 
-/// fx event-counter totals across the chain's requantization sites.
-/// Equality proves the served path made identical per-sample saturate and
-/// round decisions as the scalar reference (counter adds are commutative,
-/// so worker count and scheduling cannot affect the totals).
-std::map<std::string, std::uint64_t> fx_snapshot() {
-  static const char* kSites[] = {"chain_hbf_in", "hbf_in",     "hbf_product",
-                                 "hbf_internal", "hbf_out",    "scaler_out",
-                                 "fir_out"};
-  static const char* kEvents[] = {"saturate", "round", "wrap"};
-  std::map<std::string, std::uint64_t> snap;
-  auto& reg = obs::Registry::instance();
-  for (const char* site : kSites) {
-    for (const char* ev : kEvents) {
-      const std::string name = std::string("fx.") + ev + "." + site;
-      snap[name] = reg.counter(name).value();
-    }
-  }
-  return snap;
-}
+// fx event-counter totals across the chain's requantization sites.
+// Equality proves the served path made identical per-sample saturate and
+// round decisions as the reference (counter adds are commutative, so
+// worker count and scheduling cannot affect the totals).
+using testutil::fx_snapshot;
 
 class ServiceTest : public ::testing::Test {
  protected:
@@ -621,6 +609,57 @@ TEST_F(ServiceTest, RefusedConfigGetsErrorAndSessionKeepsServing) {
   server.stop();
 }
 
+TEST_F(ServiceTest, InconsistentHbfCountsRefusedAndServerKeepsServing) {
+  // A CFG1 frame carries hbf.n1/n2 apart from the f1/f2 CSD coefficients.
+  // Counts that disagree with them would make the halfband read past its
+  // coefficient and history arrays on a shared worker. The HBF refuses
+  // them at construction, so each such OPEN gets an ERROR frame and leaves
+  // no session, and the server goes on serving a good session bit-exactly.
+  service::Server server(test_options("hbf_counts"));
+  server.start();
+  auto client = service::Client::connect_unix(server.unix_path());
+
+  const decim::ChainConfig cfg = decim::paper_chain_config();
+  std::vector<decim::ChainConfig> bad(4, cfg);
+  bad[0].hbf.n1 += 1;
+  bad[1].hbf.n2 += 5;
+  bad[2].hbf.n1 -= 1;
+  bad[3].hbf.n2 = 0;
+  std::mt19937_64 rng(fuzz_seed(47));
+  const auto codes =
+      stimulus_codes(verify::StimulusClass::kModulator, 2048, rng);
+  const auto expect = testutil::PushChain(cfg).process(codes);
+
+  std::set<std::uint32_t> refused;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const auto ch = static_cast<std::uint32_t>(10 + i);
+    ASSERT_TRUE(client->open_config(ch, bad[i]));
+    refused.insert(ch);
+  }
+  const std::uint32_t good = 3;
+  ASSERT_TRUE(client->open_config(good, cfg));
+  ASSERT_TRUE(client->send_data(good, codes));
+  ASSERT_TRUE(client->wait_sample_count(good, expect.size(), kWait));
+  EXPECT_EQ(client->samples(good), expect);
+
+  const auto deadline = std::chrono::steady_clock::now() + kWait;
+  while (client->errors().size() < refused.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::set<std::uint32_t> errored;
+  for (const auto& [ch, code] : client->errors()) {
+    EXPECT_EQ(code, service::ErrorCode::kInternal) << "channel " << ch;
+    errored.insert(ch);
+  }
+  EXPECT_EQ(errored, refused);
+  // DATA on a refused channel finds no session.
+  ASSERT_TRUE(client->send_data(10, codes));
+  EXPECT_TRUE(client->wait_error(service::ErrorCode::kNotOpen, kWait));
+  client.reset();
+  server.stop();
+}
+
 TEST_F(ServiceTest, LockstepCohortServesBitExactOverWire) {
   // End-to-end batch path: two connections x 16 lockstep channels on the
   // same config stream equal-length blocks; the server coalesces them
@@ -665,7 +704,7 @@ TEST_F(ServiceTest, LockstepCohortServesBitExactOverWire) {
     }
   }
 
-  decim::DecimationChain ref(*service::preset_config(0));
+  testutil::PushChain ref(*service::preset_config(0));
   std::vector<std::int64_t> expect_full;
   std::vector<std::int64_t> expect_reconf;  // chain reset after block 1
   for (std::size_t b = 0; b < kBlocks; ++b) {
@@ -675,7 +714,7 @@ TEST_F(ServiceTest, LockstepCohortServesBitExactOverWire) {
       expect_reconf.insert(expect_reconf.end(), out.begin(), out.end());
     }
   }
-  decim::DecimationChain ref2(*service::preset_config(0));
+  testutil::PushChain ref2(*service::preset_config(0));
   for (std::size_t b = 2; b < kBlocks; ++b) {
     const auto out = ref2.process(blocks[b]);
     expect_reconf.insert(expect_reconf.end(), out.begin(), out.end());

@@ -13,7 +13,9 @@
 #include "src/decimator/chain.h"
 #include "src/decimator/simd.h"
 #include "src/obs/metrics.h"
+#include "src/obs/obs.h"
 #include "src/runtime/multichannel.h"
+#include "tests/push_chain.h"
 
 namespace {
 
@@ -66,45 +68,46 @@ TEST(SimdDispatch, TierNames) {
   EXPECT_STREQ(decim::simd::tier_name(Tier::kAvx512), "avx512");
 }
 
+// Every supported tier, at width 1 (the instantiation DecimationChain
+// runs) and at 16 lanes, must match the push() oracle: each lane's
+// samples and every per-site fx counter.
 TEST(SimdDispatch, BankBitIdenticalAcrossTiers) {
   TierGuard guard;
+  obs::set_enabled(true);
   const auto cfg = decim::paper_chain_config();
-  constexpr std::size_t kLanes = 16;
   constexpr std::size_t kFrames = 1 << 10;
 
-  std::vector<std::int64_t> input(kFrames * kLanes);
-  unsigned s = 0x5111D;
-  for (auto& v : input) {
-    s = s * 1664525u + 1013904223u;
-    v = static_cast<std::int64_t>((s >> 24) % 15) - 7;
-  }
-
-  // Reference: the scalar tier's outputs and fx event totals.
-  struct TierRun {
-    std::vector<std::int64_t> out;
-    std::uint64_t rounds = 0;
-    std::uint64_t saturates = 0;
-  };
-  const auto run_tier = [&](Tier t) {
-    EXPECT_TRUE(decim::simd::set_active_tier(t));
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{16}}) {
+    std::vector<std::vector<std::int32_t>> codes(
+        lanes, std::vector<std::int32_t>(kFrames));
+    unsigned s = 0x5111D;
+    for (std::size_t f = 0; f < kFrames; ++f) {
+      for (auto& lane : codes) {
+        s = s * 1664525u + 1013904223u;
+        lane[f] = static_cast<std::int32_t>((s >> 24) % 15) - 7;
+      }
+    }
     obs::Registry::instance().reset_all();
-    runtime::ChainBank bank(cfg, kLanes);
-    TierRun r;
-    r.out = input;
-    bank.process_inplace(r.out);
-    r.rounds = obs::Registry::instance().counter_total("fx.round.");
-    r.saturates = obs::Registry::instance().counter_total("fx.saturate.");
-    return r;
-  };
+    std::vector<std::vector<std::int64_t>> want;
+    for (const auto& lane : codes) {
+      want.push_back(testutil::PushChain(cfg).process(lane));
+    }
+    const auto want_fx = testutil::fx_snapshot();
+    EXPECT_FALSE(want[0].empty());
 
-  const TierRun ref = run_tier(Tier::kScalar);
-  EXPECT_FALSE(ref.out.empty());
-  for (Tier t : supported_tiers()) {
-    if (t == Tier::kScalar) continue;
-    const TierRun got = run_tier(t);
-    EXPECT_EQ(ref.out, got.out) << "tier " << decim::simd::tier_name(t);
-    EXPECT_EQ(ref.rounds, got.rounds) << decim::simd::tier_name(t);
-    EXPECT_EQ(ref.saturates, got.saturates) << decim::simd::tier_name(t);
+    std::vector<const std::int32_t*> rows;
+    for (const auto& lane : codes) rows.push_back(lane.data());
+    for (Tier t : supported_tiers()) {
+      ASSERT_TRUE(decim::simd::set_active_tier(t));
+      obs::Registry::instance().reset_all();
+      decim::ChainBank bank(cfg, lanes);
+      std::vector<std::vector<std::int64_t>> got(lanes);
+      bank.process_rows(rows, kFrames, got);
+      EXPECT_EQ(got, want) << decim::simd::tier_name(t) << ", " << lanes
+                           << " lanes";
+      EXPECT_EQ(testutil::fx_snapshot(), want_fx)
+          << decim::simd::tier_name(t) << ", " << lanes << " lanes";
+    }
   }
 }
 
@@ -125,19 +128,15 @@ TEST(SimdDispatch, RuntimeBitIdenticalAcrossTiers) {
   }
 
   std::vector<std::vector<std::int64_t>> ref;
-  bool have_ref = false;
+  for (const auto& ch : codes) {
+    ref.push_back(testutil::PushChain(cfg).process(ch));
+  }
   for (Tier t : supported_tiers()) {
     ASSERT_TRUE(decim::simd::set_active_tier(t));
     runtime::MultiChannelRuntime rt(cfg, kChannels);
     std::vector<std::vector<std::int64_t>> out;
     rt.process_into(codes, out);
-    ASSERT_EQ(out.size(), kChannels);
-    if (!have_ref) {
-      ref = out;
-      have_ref = true;
-    } else {
-      EXPECT_EQ(ref, out) << "tier " << decim::simd::tier_name(t);
-    }
+    EXPECT_EQ(out, ref) << "tier " << decim::simd::tier_name(t);
   }
 }
 
