@@ -8,11 +8,13 @@
 #include <cstdlib>
 #include <map>
 #include <memory_resource>
+#include <string>
 
 #include "src/analyze/opt/opt.h"
 #include "src/core/flow.h"
 #include "src/obs/bench_telemetry.h"
 #include "src/decimator/chain.h"
+#include "src/decimator/simd.h"
 #include "src/dsp/freqz.h"
 #include "src/filterdesign/saramaki.h"
 #include "src/modulator/dsm.h"
@@ -252,12 +254,24 @@ BENCHMARK(BM_FullDesignFlow)->Unit(benchmark::kMillisecond);
 
 // The HBF search at the paper's passband edge and 90 dB: the pruned
 // design_saramaki_hbf_auto against the exhaustive scan it replaces (every
-// candidate designed and measured through the fixed-structure API).
+// candidate designed and measured through the fixed-structure API). The
+// search runs on one thread here (DSADC_VERIFY_THREADS=1, restored after):
+// the ratio measures the pruning, not the digit-budget fan-out, which
+// BM_DesignStep and BM_FullDesignFlow see.
 void BM_HbfAutoSearch(benchmark::State& state) {
+  const char* prev = std::getenv("DSADC_VERIFY_THREADS");
+  const bool had_prev = prev != nullptr;
+  const std::string saved = had_prev ? prev : "";
+  setenv("DSADC_VERIFY_THREADS", "1", 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(design::design_saramaki_hbf_auto(0.2125, 90.0));
   }
   state.SetItemsProcessed(state.iterations());
+  if (had_prev) {
+    setenv("DSADC_VERIFY_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("DSADC_VERIFY_THREADS");
+  }
 }
 BENCHMARK(BM_HbfAutoSearch)->Unit(benchmark::kMillisecond);
 
@@ -497,6 +511,10 @@ bool record_speedup(obs::BenchReport& report, const TelemetryReporter& r,
 
 int main(int argc, char** argv) {
   obs::BenchReport report("perf_throughput");
+  // Absolute figures depend on the machine (BM_FullDesignFlow scales with
+  // the core count); bench_diff compares them only on the same shape.
+  report.set_host(decim::simd::tier_name(decim::simd::best_tier()),
+                  decim::simd::tier_name(decim::simd::active_tier()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return report.finish(false);

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/decimator/chain.h"
+#include "src/decimator/simd.h"
 #include "src/obs/bench_telemetry.h"
 #include "src/obs/obs.h"
 #include "src/obs/store/store.h"
@@ -206,6 +207,8 @@ double percentile(std::vector<double>& v, double p) {
 
 int main() {
   obs::BenchReport report("service");
+  report.set_host(decim::simd::tier_name(decim::simd::best_tier()),
+                  decim::simd::tier_name(decim::simd::active_tier()));
   obs::set_enabled(false);  // measure the data path, not the counters
 
   std::printf("decimation service sustained throughput (block policy)\n");

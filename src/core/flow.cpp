@@ -6,6 +6,7 @@
 
 #include "src/core/response.h"
 #include "src/dsp/freqz.h"
+#include "src/dsp/parallel.h"
 #include "src/dsp/spectrum.h"
 #include "src/filterdesign/cic.h"
 #include "src/filterdesign/equalizer.h"
@@ -17,18 +18,9 @@ namespace {
 
 bool is_pow2(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
-}  // namespace
-
-FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
-                              const mod::DecimatorSpec& dspec,
-                              const FlowOptions& options) {
-  DSADC_TRACE_SPAN("design_flow");
-  FlowResult r;
-  r.modulator_spec = mspec;
-  r.decimator_spec = dspec;
-  r.options = options;
-
-  // --- Step 1: modulator model.
+/// Step 1: the modulator model. Writes only the modulator fields of `r`.
+void design_modulator(const mod::ModulatorSpec& mspec,
+                      const FlowOptions& options, FlowResult& r) {
   r.ntf = mod::synthesize_ntf(mspec.order, mspec.osr, mspec.obg, true);
   {
     DSADC_TRACE_SPAN("realize_and_msa");
@@ -39,7 +31,13 @@ FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
   }
   r.predicted_sqnr_db =
       mod::predict_sqnr_db(r.ntf, mspec.osr, mspec.quantizer_bits, r.msa);
+}
 
+/// Steps 2 and 3: the Sinc cascade and the halfband, which do not depend
+/// on the modulator model.
+decim::ChainConfig design_structure(const mod::ModulatorSpec& mspec,
+                                    const mod::DecimatorSpec& dspec,
+                                    const FlowOptions& options) {
   // --- Step 2: decimation structure. OSR = 2^n: (n-1) Sinc /2 stages, one
   // halfband /2 stage.
   const auto osr = static_cast<std::size_t>(mspec.osr);
@@ -65,7 +63,6 @@ FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
 
   decim::ChainConfig cfg;
   cfg.input_rate_hz = mspec.sample_rate_hz;
-  const int code_max = (1 << (mspec.quantizer_bits - 1)) - 1;
   cfg.input_format = fx::Format{mspec.quantizer_bits, 0};
   int bits = mspec.quantizer_bits;
   int gain_log2 = 0;
@@ -95,14 +92,25 @@ FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
                 : design::design_saramaki_hbf_auto(
                       fp, options.hbf_atten_target_db,
                       options.hbf_coeff_frac_bits);
+  return cfg;
+}
 
+/// The scaler (the one step that needs the MSA), the equalizer loop and
+/// the step-4 stopband check. Writes only the chain and check fields of
+/// `r`.
+void design_scaler_and_equalizer(decim::ChainConfig cfg, double msa,
+                                 const mod::ModulatorSpec& mspec,
+                                 const mod::DecimatorSpec& dspec,
+                                 const FlowOptions& options, FlowResult& r) {
   // --- Scaler: map (MSA * code_max + noise margin) to just under +-1.
-  cfg.scale = 0.98 / (r.msa * static_cast<double>(code_max) + 0.5);
+  const int code_max = (1 << (mspec.quantizer_bits - 1)) - 1;
+  cfg.scale = 0.98 / (msa * static_cast<double>(code_max) + 0.5);
 
   // --- Equalizer: invert the composite pre-equalizer droop.
   const auto cic_stages = cfg.cic_stages;
   const auto hbf_taps = cfg.hbf.taps;
-  const double total_ratio = static_cast<double>(osr);
+  const auto total_ratio =
+      static_cast<double>(static_cast<std::size_t>(mspec.osr));
   const auto droop = [cic_stages, hbf_taps, total_ratio](double f) {
     double mag = 1.0;
     double ratio = total_ratio;
@@ -136,6 +144,42 @@ FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
   r.alias_protection_db =
       composite_stopband_atten_db(cfg, dspec.stopband_edge_hz);
   r.attenuation_ok = r.alias_protection_db >= dspec.stopband_atten_db;
+}
+
+}  // namespace
+
+FlowResult DesignFlow::design(const mod::ModulatorSpec& mspec,
+                              const mod::DecimatorSpec& dspec,
+                              const FlowOptions& options) {
+  DSADC_TRACE_SPAN("design_flow");
+  FlowResult r;
+  r.modulator_spec = mspec;
+  r.decimator_spec = dspec;
+  r.options = options;
+
+  // Two independent branches: the modulator model (index 0) and the
+  // filters (index 1). Each writes its own fields of `r`. The scaler is
+  // the only filter step that needs the MSA; unless the MSA is measured,
+  // it is the spec value, so the filter branch runs to the end and the
+  // branches join here. A measured MSA moves the join before the scaler.
+  // parallel_for_index rethrows the lower index's exception, so a step-1
+  // error wins over a filter error, as in a serial run.
+  const bool msa_known = !options.measure_msa;
+  decim::ChainConfig structure;
+  dsp::parallel_for_index(2, [&](std::size_t branch) {
+    if (branch == 0) {
+      design_modulator(mspec, options, r);
+      return;
+    }
+    structure = design_structure(mspec, dspec, options);
+    if (msa_known) {
+      design_scaler_and_equalizer(structure, mspec.msa, mspec, dspec,
+                                  options, r);
+    }
+  });
+  if (!msa_known) {
+    design_scaler_and_equalizer(structure, r.msa, mspec, dspec, options, r);
+  }
   return r;
 }
 
@@ -169,14 +213,18 @@ VerificationResult DesignFlow::verify(const FlowResult& result,
                                  dsp::WindowKind::kKaiser, 8, 8, 22.0);
   };
 
-  const dsp::SnrResult quantized = measure(result.chain);
-  v.snr_db = quantized.snr_db;
-  v.enob_bits = quantized.enob_bits;
-
+  // The quantized chain (index 0) and the wide-output chain (index 1) are
+  // measured concurrently.
   decim::ChainConfig wide = result.chain;
   wide.output_format = fx::Format{20, 18};
   wide.scaler_out_format = fx::Format{22, 19};
-  v.snr_unquantized_db = measure(wide).snr_db;
+  dsp::SnrResult snr[2];
+  dsp::parallel_for_index(2, [&](std::size_t i) {
+    snr[i] = measure(i == 0 ? result.chain : wide);
+  });
+  v.snr_db = snr[0].snr_db;
+  v.enob_bits = snr[0].enob_bits;
+  v.snr_unquantized_db = snr[1].snr_db;
   v.snr_ok = v.snr_unquantized_db >= result.decimator_spec.target_snr_db;
   return v;
 }

@@ -6,17 +6,37 @@
 #include "src/decimator/simd.h"
 
 namespace dsadc::decim {
+namespace {
+
+/// The CSD encoding of `scale`, refused unless every shift-add term fits:
+/// a scale is remote input (a CFG1 frame), and NaN, inf or a huge value
+/// would otherwise reach the encoder's int conversion or shift an
+/// `in_fmt`-wide sample past bit 63.
+fx::Csd checked_scale_csd(double scale, const fx::Format& in_fmt,
+                          int frac_bits, std::size_t max_digits) {
+  if (!(std::isfinite(scale) && scale > 0.0)) {
+    throw std::invalid_argument("ScalingStage: scale must be finite and > 0");
+  }
+  fx::Csd csd = fx::csd_encode_limited(scale, frac_bits, max_digits);
+  // Digits are ordered most significant first.
+  if (!csd.digits.empty() &&
+      csd.digits.front().position + frac_bits + in_fmt.width > 63) {
+    throw std::invalid_argument(
+        "ScalingStage: scale too large for the input width");
+  }
+  return csd;
+}
+
+}  // namespace
 
 ScalingStage::ScalingStage(double scale, fx::Format in_fmt, fx::Format out_fmt,
                            int frac_bits, std::size_t max_digits)
-    : csd_(fx::csd_encode_limited(scale, frac_bits, max_digits)),
+    : csd_(checked_scale_csd(scale, in_fmt, frac_bits, max_digits)),
       frac_bits_(frac_bits),
       in_fmt_(in_fmt),
       out_fmt_(out_fmt),
       rq_(in_fmt.frac + frac_bits, out_fmt, fx::Rounding::kRoundNearest,
-          fx::event_counters("scaler_out")) {
-  if (scale <= 0.0) throw std::invalid_argument("ScalingStage: scale <= 0");
-}
+          fx::event_counters("scaler_out")) {}
 
 std::int64_t ScalingStage::push(std::int64_t in) const {
   // Horner-style shift-add evaluation of the CSD constant: process digits

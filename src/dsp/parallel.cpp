@@ -1,4 +1,4 @@
-#include "src/verify/parallel.h"
+#include "src/dsp/parallel.h"
 
 #include <atomic>
 #include <cstdlib>
@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-namespace dsadc::verify {
+namespace dsadc::dsp {
 
 std::size_t verify_thread_count() {
   if (const char* env = std::getenv("DSADC_VERIFY_THREADS")) {
@@ -41,8 +41,7 @@ void parallel_for_index(std::size_t n,
         body(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(err_mu);
-        // Keep the lowest-index failure so reports are deterministic-ish
-        // even when several workers fail concurrently.
+        // Keep the lowest-index failure: the one a serial loop throws.
         if (first_error == nullptr || i < first_error_index) {
           first_error = std::current_exception();
           first_error_index = i;
@@ -63,4 +62,4 @@ void parallel_for_index(std::size_t n,
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
-}  // namespace dsadc::verify
+}  // namespace dsadc::dsp

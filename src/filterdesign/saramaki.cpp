@@ -1,6 +1,7 @@
 #include "src/filterdesign/saramaki.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <optional>
@@ -9,6 +10,7 @@
 #include "src/dsp/chebyshev.h"
 #include "src/dsp/linalg.h"
 #include "src/dsp/freqz.h"
+#include "src/dsp/parallel.h"
 #include "src/filterdesign/halfband.h"
 #include "src/obs/trace.h"
 
@@ -323,9 +325,15 @@ SaramakiHbf design_saramaki_hbf_auto(double fp, double atten_db,
       continue;
     }
     const std::vector<double> f2 = design_f2(n2, fp);  // digit-independent
-    for (std::size_t digits : digit_budgets) {
-      SaramakiHbf cand =
-          quantized_candidate(n1, f2, fp, stopband, frac_bits, digits);
+    // The scan below needs every budget's adder count, so the budgets are
+    // quantized side by side: the same work as one at a time, and each
+    // slot holds what the serial call returns.
+    std::array<SaramakiHbf, std::size(digit_budgets)> cands;
+    dsp::parallel_for_index(cands.size(), [&](std::size_t k) {
+      cands[k] = quantized_candidate(n1, f2, fp, stopband, frac_bits,
+                                     digit_budgets[k]);
+    });
+    for (SaramakiHbf& cand : cands) {
       if (best && cand.adder_count >= best->adder_count) continue;
       compose_and_measure(cand);
       if (cand.stopband_atten_db < atten_db) continue;

@@ -1,8 +1,11 @@
 #include "src/obs/bench_telemetry.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 
 namespace dsadc::obs {
 namespace {
@@ -24,6 +27,21 @@ std::string json_number(double v) {
     return "null";
   }
   return buf;
+}
+
+/// The first "model name" of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto p = line.find(':');
+      if (p != std::string::npos && p + 2 <= line.size()) {
+        return line.substr(p + 2);
+      }
+    }
+  }
+  return "unknown";
 }
 
 }  // namespace
@@ -55,6 +73,14 @@ void BenchReport::set_throughput(double samples_per_second) {
   set("throughput_samples_per_s", samples_per_second);
 }
 
+void BenchReport::set_host(const std::string& simd_best,
+                           const std::string& simd_active) {
+  host_ = "{\"cores\": " + std::to_string(::sysconf(_SC_NPROCESSORS_ONLN)) +
+          ", \"cpu_model\": \"" + json_escape(cpu_model()) +
+          "\", \"simd_best\": \"" + json_escape(simd_best) +
+          "\", \"simd_active\": \"" + json_escape(simd_active) + "\"}";
+}
+
 std::string BenchReport::output_dir() {
   const char* dir = std::getenv("DSADC_BENCH_OUT");
   if (dir != nullptr && dir[0] != '\0') return dir;
@@ -74,6 +100,7 @@ void BenchReport::write(bool ok) {
   std::string out = "{\n  \"bench\": \"" + json_escape(name_) + "\",\n";
   out += "  \"ok\": " + std::string(ok ? "true" : "false") + ",\n";
   out += "  \"wall_ms\": " + json_number(wall_ms) + ",\n";
+  if (!host_.empty()) out += "  \"host\": " + host_ + ",\n";
   out += "  \"metrics\": {";
   bool first = true;
   for (const auto& [key, value] : fields_) {

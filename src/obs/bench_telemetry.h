@@ -9,6 +9,15 @@
 //
 //   {"bench": "e2e_snr", "ok": true, "wall_ms": 812.4,
 //    "metrics": {"snr_db_5mhz": 84.5, ...}}
+//
+// A bench whose absolute numbers depend on the machine also records the
+// host shape (set_host): core count, CPU model and SIMD tiers, as
+//
+//   "host": {"cores": 4, "cpu_model": "...", "simd_best": "avx512",
+//            "simd_active": "avx512"}
+//
+// tools/bench_diff compares absolute metrics only between records of the
+// same host shape.
 #pragma once
 
 #include <chrono>
@@ -34,6 +43,10 @@ class BenchReport {
   void set(const std::string& key, bool value);
   /// Convenience for the headline perf figure.
   void set_throughput(double samples_per_second);
+  /// Record the host shape: online cores and the /proc/cpuinfo model name
+  /// (read here), and the best and active SIMD tier names (the caller
+  /// knows them; this layer does not).
+  void set_host(const std::string& simd_best, const std::string& simd_active);
 
   /// Write the JSON record (once) and map ok to a process exit code.
   int finish(bool ok);
@@ -48,6 +61,7 @@ class BenchReport {
   std::string name_;
   std::chrono::steady_clock::time_point start_;
   std::map<std::string, std::string> fields_;  ///< key -> JSON-encoded value
+  std::string host_;  ///< JSON object, empty until set_host()
   bool written_ = false;
 };
 

@@ -19,7 +19,7 @@
 
 #include "src/verify/diff.h"
 #include "src/verify/harness.h"
-#include "src/verify/parallel.h"
+#include "src/dsp/parallel.h"
 #include "src/verify/repro.h"
 #include "src/verify/shrink.h"
 
@@ -97,7 +97,7 @@ inline void report_failure(const StageCase& c, const DiffOutcome& out) {
 inline void run_stage_class(StageKind kind, std::uint64_t seed_base) {
   const int n = case_count();
   std::vector<DiffOutcome> outcomes(static_cast<std::size_t>(n));
-  parallel_for_index(static_cast<std::size_t>(n), [&](std::size_t i) {
+  dsp::parallel_for_index(static_cast<std::size_t>(n), [&](std::size_t i) {
     const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(i);
     outcomes[i] = run_case(random_case(kind, seed));
   });

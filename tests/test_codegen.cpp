@@ -29,12 +29,13 @@
 
 #include "src/analyze/opt/opt.h"
 #include "src/decimator/chain.h"
+#include "src/dsp/parallel.h"
 #include "src/rtl/builders.h"
 #include "src/rtl/codegen.h"
 #include "src/rtl/compiled_sim.h"
 #include "src/rtl/sim.h"
-#include "src/verify/parallel.h"
 #include "src/verify/stimulus.h"
+#include "tests/env_guard.h"
 
 namespace {
 
@@ -44,33 +45,7 @@ using Codegen = CompiledSimOptions::Codegen;
 
 namespace fs = std::filesystem;
 
-/// Scoped environment override (unset when `value` is nullptr).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
+using testutil::EnvGuard;
 
 /// Per-process scratch cache directory, shared by all tests in this
 /// binary so the paper chain is compiled at most once per run.
@@ -307,7 +282,7 @@ TEST(CodegenExactness, RandomNetlistSweepWithOptimizedForms) {
   constexpr std::size_t kSeeds = 110;
   std::mutex mu;
   std::vector<std::string> failures;
-  verify::parallel_for_index(kSeeds, [&](std::size_t i) {
+  dsp::parallel_for_index(kSeeds, [&](std::size_t i) {
     std::mt19937_64 rng(0x5EED0000 + i);
     std::uniform_int_distribution<int> order(1, 5);
     std::uniform_int_distribution<int> decim_f(2, 12);

@@ -4,9 +4,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <typeinfo>
 
 #include "src/core/flow.h"
 #include "src/core/response.h"
+#include "tests/env_guard.h"
 
 namespace {
 
@@ -26,6 +31,11 @@ class PaperFlow : public ::testing::Test {
 };
 
 FlowResult* PaperFlow::result_ = nullptr;
+
+/// DSADC_VERIFY_THREADS values the flow must be indifferent to (it is
+/// re-read per call): inline, one extra worker, and more workers than
+/// there are parallel tasks.
+constexpr const char* kThreadCounts[] = {"1", "2", "8"};
 
 TEST_F(PaperFlow, SpecChecksPass) {
   EXPECT_TRUE(result_->ripple_ok) << result_->passband_ripple_db;
@@ -255,10 +265,36 @@ TEST(Flow, GoldenDigest) {
   x.d.stopband_edge_hz = 11.5e6;
   x.d.output_rate_hz = 20e6;
   cases.push_back(x);
-  for (const Case& c : cases) {
-    const FlowResult r = DesignFlow::design(c.m, c.d);
-    EXPECT_EQ(flow_digest(r), c.digest)
-        << c.name << ": 0x" << std::hex << flow_digest(r);
+  for (const char* threads : kThreadCounts) {
+    const testutil::EnvGuard env("DSADC_VERIFY_THREADS", threads);
+    for (const Case& c : cases) {
+      const FlowResult r = DesignFlow::design(c.m, c.d);
+      EXPECT_EQ(flow_digest(r), c.digest)
+          << c.name << " at " << threads << " threads: 0x" << std::hex
+          << flow_digest(r);
+    }
+  }
+}
+
+TEST(Flow, VerifyIdenticalAcrossThreadCounts) {
+  // The quantized and wide chains are measured concurrently; every field
+  // must come out as the inline (1-thread) run computes it.
+  const FlowResult r = DesignFlow::design(mod::paper_modulator_spec(),
+                                          mod::paper_decimator_spec());
+  std::optional<core::VerificationResult> want;
+  for (const char* threads : kThreadCounts) {
+    const testutil::EnvGuard env("DSADC_VERIFY_THREADS", threads);
+    const core::VerificationResult v = DesignFlow::verify(r, 5e6, 1 << 15);
+    if (!want) {
+      want = v;
+      continue;
+    }
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    EXPECT_EQ(v.snr_db, want->snr_db);
+    EXPECT_EQ(v.enob_bits, want->enob_bits);
+    EXPECT_EQ(v.snr_unquantized_db, want->snr_unquantized_db);
+    EXPECT_EQ(v.snr_ok, want->snr_ok);
+    EXPECT_EQ(v.tone_freq_hz, want->tone_freq_hz);
   }
 }
 
@@ -274,6 +310,59 @@ TEST(FlowRetarget, RejectsIncompatibleHalfbandEdge) {
   d.stopband_edge_hz = 45e6;  // beyond what a final /2 halfband can do
   EXPECT_THROW(DesignFlow::design(mod::paper_modulator_spec(), d),
                std::invalid_argument);
+}
+
+/// "<type>: <what>" of the exception `f` throws, or "" if none.
+template <typename F>
+std::string thrown(F&& f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+  return "";
+}
+
+TEST(FlowRetarget, ErrorPrecedenceMatchesSerial) {
+  // The modulator and filter branches run side by side. When both fail,
+  // the modulator model's error must still win, as when the steps ran
+  // one after the other, whatever the thread count and MSA mode.
+  mod::ModulatorSpec bad_obg = mod::paper_modulator_spec();
+  bad_obg.obg = 0.5;  // synthesize_ntf: invalid_argument
+  mod::ModulatorSpec low_obg = mod::paper_modulator_spec();
+  low_obg.obg = 1.01;  // synthesize_ntf: runtime_error
+  mod::DecimatorSpec bad_edge = mod::paper_decimator_spec();
+  bad_edge.stopband_edge_hz = 45e6;  // halfband edge: invalid_argument
+  FlowOptions unreachable;
+  unreachable.hbf_atten_target_db = 400.0;  // HBF search: runtime_error
+  struct Case {
+    mod::ModulatorSpec m;
+    mod::DecimatorSpec d;
+    FlowOptions o;
+  };
+  const Case cases[] = {{bad_obg, bad_edge, {}},
+                        {bad_obg, mod::paper_decimator_spec(), unreachable},
+                        {low_obg, bad_edge, {}},
+                        {low_obg, mod::paper_decimator_spec(), unreachable}};
+  for (const Case& c : cases) {
+    const std::string step1 = thrown(
+        [&] { mod::synthesize_ntf(c.m.order, c.m.osr, c.m.obg, true); });
+    ASSERT_NE(step1, "");
+    ASSERT_NE(thrown([&] {
+                DesignFlow::design(mod::paper_modulator_spec(), c.d, c.o);
+              }),
+              "")
+        << "the filter branch must fail on its own too";
+    for (const bool measure_msa : {false, true}) {
+      FlowOptions o = c.o;
+      o.measure_msa = measure_msa;
+      for (const char* threads : kThreadCounts) {
+        const testutil::EnvGuard env("DSADC_VERIFY_THREADS", threads);
+        EXPECT_EQ(thrown([&] { DesignFlow::design(c.m, c.d, o); }), step1)
+            << threads << " threads, measure_msa " << measure_msa;
+      }
+    }
+  }
 }
 
 }  // namespace

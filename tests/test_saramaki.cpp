@@ -12,6 +12,7 @@
 #include "src/dsp/freqz.h"
 #include "src/filterdesign/halfband.h"
 #include "src/filterdesign/saramaki.h"
+#include "tests/env_guard.h"
 
 namespace {
 
@@ -190,23 +191,29 @@ void expect_csd_eq(const std::vector<fx::Csd>& a,
 }
 
 TEST(Saramaki, AutoSearchMatchesExhaustive) {
+  // The search quantizes each structure's digit budgets in parallel; the
+  // result must be the exhaustive one at any worker count.
   for (double fp : {0.15, 0.18, 0.2125, 0.22, 0.23, 0.24}) {
     for (double atten : {60.0, 75.0, 90.0, 100.0}) {
-      SCOPED_TRACE(::testing::Message() << "fp " << fp << ", " << atten
-                                        << " dB");
       const SaramakiHbf want = exhaustive_search(fp, atten);
-      const SaramakiHbf got = design_saramaki_hbf_auto(fp, atten, 24);
-      EXPECT_EQ(got.n1, want.n1);
-      EXPECT_EQ(got.n2, want.n2);
-      EXPECT_EQ(got.passband_edge, want.passband_edge);
-      EXPECT_EQ(got.f1, want.f1);
-      EXPECT_EQ(got.f2, want.f2);
-      expect_csd_eq(got.f1_csd, want.f1_csd);
-      expect_csd_eq(got.f2_csd, want.f2_csd);
-      EXPECT_EQ(got.taps, want.taps);
-      EXPECT_EQ(got.stopband_atten_db, want.stopband_atten_db);
-      EXPECT_EQ(got.passband_ripple_db, want.passband_ripple_db);
-      EXPECT_EQ(got.adder_count, want.adder_count);
+      for (const char* threads : {"1", "2", "8"}) {
+        const testutil::EnvGuard env("DSADC_VERIFY_THREADS", threads);
+        SCOPED_TRACE(::testing::Message() << "fp " << fp << ", " << atten
+                                          << " dB, " << threads
+                                          << " threads");
+        const SaramakiHbf got = design_saramaki_hbf_auto(fp, atten, 24);
+        EXPECT_EQ(got.n1, want.n1);
+        EXPECT_EQ(got.n2, want.n2);
+        EXPECT_EQ(got.passband_edge, want.passband_edge);
+        EXPECT_EQ(got.f1, want.f1);
+        EXPECT_EQ(got.f2, want.f2);
+        expect_csd_eq(got.f1_csd, want.f1_csd);
+        expect_csd_eq(got.f2_csd, want.f2_csd);
+        EXPECT_EQ(got.taps, want.taps);
+        EXPECT_EQ(got.stopband_atten_db, want.stopband_atten_db);
+        EXPECT_EQ(got.passband_ripple_db, want.passband_ripple_db);
+        EXPECT_EQ(got.adder_count, want.adder_count);
+      }
     }
   }
   // Unreachable targets still throw: Saramaki.RejectsBadArgs.

@@ -6,6 +6,8 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -655,6 +657,73 @@ TEST_F(ServiceTest, InconsistentHbfCountsRefusedAndServerKeepsServing) {
   EXPECT_EQ(errored, refused);
   // DATA on a refused channel finds no session.
   ASSERT_TRUE(client->send_data(10, codes));
+  EXPECT_TRUE(client->wait_error(service::ErrorCode::kNotOpen, kWait));
+  client.reset();
+  server.stop();
+}
+
+TEST_F(ServiceTest, NonFiniteOrHugeScaleRefusedAndSessionKeepsServing) {
+  // The scaler constant in a CFG1 frame is a raw f64. NaN and inf used to
+  // reach the CSD encoder's int conversion, and 1e30 gave digit shifts
+  // that overflow the shift-add network, all on a shared worker. The
+  // scaler now refuses them at construction: a CONFIG carrying one gets an
+  // ERROR frame and its session keeps serving on its old chain; an OPEN
+  // carrying one gets an ERROR frame and leaves no session.
+  service::Server server(test_options("bad_scale"));
+  server.start();
+  auto client = service::Client::connect_unix(server.unix_path());
+
+  const decim::ChainConfig cfg = decim::paper_chain_config();
+  const double bad_scales[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               1e30};
+  std::mt19937_64 rng(fuzz_seed(61));
+  const std::size_t n_parts = std::size(bad_scales) + 1;
+  std::vector<std::vector<std::int32_t>> parts;
+  for (std::size_t i = 0; i < n_parts; ++i) {
+    parts.push_back(
+        stimulus_codes(verify::StimulusClass::kModulator, 1024, rng));
+  }
+  decim::DecimationChain ref(cfg);
+  std::vector<std::int64_t> expect;
+  for (const auto& part : parts) {
+    const auto out = ref.process(part);
+    expect.insert(expect.end(), out.begin(), out.end());
+  }
+
+  const std::uint32_t good = 3;
+  ASSERT_TRUE(client->open_config(good, cfg));
+  ASSERT_TRUE(client->wait_ack_count(good, 1, kWait)) << "OPEN not acked";
+  ASSERT_TRUE(client->send_data(good, parts[0]));
+  for (std::size_t i = 0; i < std::size(bad_scales); ++i) {
+    decim::ChainConfig bad = cfg;
+    bad.scale = bad_scales[i];
+    const auto refused = static_cast<std::uint32_t>(10 + i);
+    ASSERT_TRUE(client->open_config(refused, bad));
+    ASSERT_TRUE(client->reconfigure_config(good, bad));
+    ASSERT_TRUE(client->send_data(good, parts[i + 1]));
+  }
+  ASSERT_TRUE(client->wait_sample_count(good, expect.size(), kWait));
+  EXPECT_EQ(client->samples(good), expect);
+
+  // One ERROR per refused OPEN and one per refused CONFIG.
+  const std::size_t want_errors = 2 * std::size(bad_scales);
+  const auto deadline = std::chrono::steady_clock::now() + kWait;
+  while (client->errors().size() < want_errors &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::map<std::uint32_t, std::size_t> errors_by_channel;
+  for (const auto& [ch, code] : client->errors()) {
+    EXPECT_EQ(code, service::ErrorCode::kInternal) << "channel " << ch;
+    ++errors_by_channel[ch];
+  }
+  EXPECT_EQ(errors_by_channel[good], std::size(bad_scales));
+  for (std::size_t i = 0; i < std::size(bad_scales); ++i) {
+    EXPECT_EQ(errors_by_channel[static_cast<std::uint32_t>(10 + i)], 1u);
+  }
+  // DATA on a refused channel finds no session.
+  ASSERT_TRUE(client->send_data(10, parts[0]));
   EXPECT_TRUE(client->wait_error(service::ErrorCode::kNotOpen, kWait));
   client.reset();
   server.stop();

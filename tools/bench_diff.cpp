@@ -17,6 +17,14 @@
 // snr, ...) regresses downward. A current-side record with ok=false fails
 // regardless of metrics.
 //
+// Absolute numbers only compare on the same host shape, as in
+// perfbench/compare.py. A record's shape is its "host" object (cores, CPU
+// model, SIMD tiers; obs::BenchReport::set_host); a record without one has
+// an unknown shape that matches nothing. Across shapes only the ratio
+// metrics compare -- names containing "speedup" or "ratio", two legs
+// measured in the same run -- and every other metric is reported as not
+// compared.
+//
 // After the per-metric lines, a ranked summary lists the worst gated
 // regressions and the best improvements (--top N, default 5) so a long
 // diff leads with what matters.
@@ -26,7 +34,8 @@
 //   2  usage / IO error (unreadable record, nothing to compare)
 //   3  a gated metric or record present in the baseline is missing on the
 //      current side (so a silently-dropped benchmark cannot pass CI)
-//   0  no regression, nothing missing
+//   4  a gated absolute metric was refused: the host shapes differ
+//   0  no regression, nothing missing, nothing refused
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -91,6 +100,17 @@ bool lower_is_better(const std::string& metric) {
   return false;
 }
 
+/// Ratio metrics (two legs of one run) compare across host shapes.
+bool host_independent(const std::string& metric) {
+  return metric.find("speedup") != std::string::npos ||
+         metric.find("ratio") != std::string::npos;
+}
+
+/// The record's host shape as canonical JSON, or "" when it records none.
+std::string host_shape(const Json& record) {
+  return record.contains("host") ? record.at("host").dump() : "";
+}
+
 bool gated(const std::string& metric, const std::vector<std::string>& gates) {
   if (gates.empty()) return true;
   for (const std::string& g : gates) {
@@ -145,7 +165,8 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: bench_diff BASELINE CURRENT [--tolerance FRAC]\n"
           "                  [--gate PATTERN]... [--top N] [--quiet]\n"
-          "exit: 0 ok, 1 regression, 2 usage/IO, 3 gated metric missing\n");
+          "exit: 0 ok, 1 regression, 2 usage/IO, 3 gated metric missing,\n"
+          "      4 gated absolute metric refused across host shapes\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "bench_diff: unknown flag '%s'\n", arg.c_str());
@@ -165,6 +186,7 @@ int main(int argc, char** argv) {
 
     bool regressed = false;
     bool missing = false;
+    bool refused = false;
     std::vector<Delta> deltas;
     std::size_t compared_files = 0;
     for (const auto& [file, base] : baseline) {
@@ -184,6 +206,16 @@ int main(int argc, char** argv) {
       if (!base.contains("metrics") || !cur.contains("metrics")) continue;
       const Json& bm = base.at("metrics");
       const Json& cm = cur.at("metrics");
+      const std::string base_shape = host_shape(base);
+      const std::string cur_shape = host_shape(cur);
+      const bool same_shape = !base_shape.empty() && base_shape == cur_shape;
+      if (!same_shape && !quiet) {
+        std::printf("%s: host shapes differ (%s vs %s); only ratio metrics "
+                    "compare\n",
+                    file.c_str(),
+                    base_shape.empty() ? "unrecorded" : base_shape.c_str(),
+                    cur_shape.empty() ? "unrecorded" : cur_shape.c_str());
+      }
 
       for (const std::string& key : bm.keys()) {
         if (bm.at(key).type() != Json::Type::kNumber) continue;
@@ -196,6 +228,18 @@ int main(int argc, char** argv) {
           } else if (!quiet) {
             std::printf("%s %s: missing on current side (ungated)\n",
                         file.c_str(), key.c_str());
+          }
+          continue;
+        }
+        if (!same_shape && !host_independent(key)) {
+          if (gated(key, gates)) {
+            std::printf("%s %s: gated absolute metric refused across host "
+                        "shapes\n",
+                        file.c_str(), key.c_str());
+            refused = true;
+          } else if (!quiet) {
+            std::printf("%s %s: not compared (host shape)\n", file.c_str(),
+                        key.c_str());
           }
           continue;
         }
@@ -273,13 +317,17 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!quiet) {
-      std::printf("\nbench_diff: %zu record(s), tolerance %.0f%%: %s%s\n",
+      std::printf("\nbench_diff: %zu record(s), tolerance %.0f%%: %s%s%s\n",
                   compared_files, 100.0 * tolerance,
                   regressed ? "REGRESSION" : "ok",
-                  missing ? " (missing gated data)" : "");
+                  missing ? " (missing gated data)" : "",
+                  refused ? " (gated absolute metrics refused: host shapes "
+                            "differ)"
+                          : "");
     }
     if (regressed) return 1;
     if (missing) return 3;
+    if (refused) return 4;
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_diff: %s\n", e.what());
