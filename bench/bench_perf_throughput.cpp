@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -66,6 +67,58 @@ void BM_DecimationChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * codes.size());
 }
 BENCHMARK(BM_DecimationChain);
+
+// Per-stage breakdown of BM_DecimationChain: a 1-lane ChainBank over the
+// same codes, each stage timed through process_inplace's at_stage hook.
+// main() writes decim_chain1.<layer>.ns_per_code (per chain input code);
+// "load" is the int32 -> int64 widen DecimationChain::process also does,
+// and "hbf" includes the CIC-gain renormalization, which has no boundary
+// of its own. The layers add up to BM_DecimationChain less its output
+// copy (1/16 of the codes).
+std::map<std::string, double>& chain1_layer_ns_per_code() {
+  static std::map<std::string, double> layers;
+  return layers;
+}
+
+void BM_DecimationChainStages(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const auto cfg = decim::paper_chain_config();
+  decim::ChainBank bank(cfg, 1);
+  const auto& codes = paper_codes();
+  std::vector<std::string> layers = {"load"};
+  for (std::size_t i = 0; i < cfg.cic_stages.size(); ++i) {
+    layers.push_back("cic" + std::to_string(i + 1));
+  }
+  layers.insert(layers.end(), {"hbf", "scaler", "eq"});
+  std::vector<Clock::duration> spent(layers.size(), Clock::duration::zero());
+  std::vector<std::int64_t> buf;
+  for (auto _ : state) {
+    bank.reset();
+    auto t = Clock::now();
+    buf.assign(codes.begin(), codes.end());
+    auto now = Clock::now();
+    spent[0] += now - t;
+    t = now;
+    bank.process_inplace(buf,
+                         [&](std::size_t k, const std::vector<std::int64_t>&) {
+                           now = Clock::now();
+                           spent[k + 1] += now - t;
+                           t = now;
+                         });
+    benchmark::DoNotOptimize(buf.data());
+  }
+  // The last (measured) run overwrites the estimation runs' figures.
+  const double total_codes =
+      static_cast<double>(state.iterations()) *
+      static_cast<double>(codes.size());
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    chain1_layer_ns_per_code()[layers[i]] =
+        std::chrono::duration<double, std::nano>(spent[i]).count() /
+        total_codes;
+  }
+  state.SetItemsProcessed(state.iterations() * codes.size());
+}
+BENCHMARK(BM_DecimationChainStages);
 
 // Sample-at-a-time reference for the chain: the same stages driven through
 // push() one sample at a time. The ratio of BM_DecimationChain to this is
@@ -522,6 +575,9 @@ int main(int argc, char** argv) {
   TelemetryReporter reporter(&report);
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks(&reporter);
   report.set("benchmarks_run", static_cast<double>(ran));
+  for (const auto& [layer, ns] : chain1_layer_ns_per_code()) {
+    report.set("decim_chain1." + layer + ".ns_per_code", ns);
+  }
 
   // Machine-independent engine/kernel speedups, both legs measured in this
   // run. The floors are the acceptance bars; bench_diff gates the recorded

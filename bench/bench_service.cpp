@@ -6,8 +6,13 @@
 //   service_256ch_mcodes_per_s       per-session scalar path, 256 channels
 //   service_batch_256ch_mcodes_per_s same load with lockstep OPENs -- the
 //                                    SoA batch fast path (ChainBank rounds)
-//   service_batch_speedup            batch / scalar at 256 channels; CI
-//                                    gates this ratio (machine-independent)
+//   service_batch_speedup            batch 256ch Mcodes/s over (workers x
+//                                    one 32-lane ChainBank's Mcodes/s,
+//                                    timed in this process between the
+//                                    batch reps): the share of the kernel
+//                                    ceiling that batched serving reaches.
+//                                    CI gates this ratio; a kernel change
+//                                    moves both sides.
 //   service_frame_p50_ms, service_frame_p99_ms
 //                                    wire-to-wire DATA->DATA_OUT latency,
 //                                    sender-stamped and measured at the
@@ -33,6 +38,7 @@
 #include "src/obs/obs.h"
 #include "src/obs/store/store.h"
 #include "src/obs/store/tracker.h"
+#include "src/runtime/multichannel.h"
 #include "src/service/client.h"
 #include "src/service/net.h"
 #include "src/service/server.h"
@@ -178,6 +184,33 @@ RunResult run_load(std::size_t channels, std::size_t conns,
   return r;
 }
 
+/// One 32-lane ChainBank (the preset the loads serve) through
+/// process_rows, the batch rounds' transpose + kernel path, on this
+/// thread: the best of three passes of `blocks` x `frames` codes per lane,
+/// in Mcodes/s.
+double bank32_mcodes_per_s(std::size_t blocks, std::size_t frames) {
+  constexpr std::size_t kLanes = 32;
+  std::mt19937_64 rng(777);
+  const auto raw = verify::make_stimulus(verify::StimulusClass::kModulator,
+                                         frames, fx::Format{4, 0}, rng);
+  const std::vector<std::int32_t> codes(raw.begin(), raw.end());
+  const std::vector<const std::int32_t*> rows(kLanes, codes.data());
+  std::vector<std::vector<std::int64_t>> outs(kLanes);
+  decim::ChainBank bank(*service::preset_config(0), kLanes);
+  double best_s = 0.0;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (auto& o : outs) o.clear();
+    const auto t0 = Clock::now();
+    for (std::size_t b = 0; b < blocks; ++b) {
+      bank.process_rows(rows, frames, outs);
+    }
+    const std::chrono::duration<double> dt = Clock::now() - t0;
+    if (pass == 0 || dt.count() < best_s) best_s = dt.count();
+  }
+  return static_cast<double>(kLanes * blocks * frames) /
+         (best_s > 0 ? best_s : 1e-9) / 1e6;
+}
+
 /// Best throughput over `reps` runs. A single run's number swings with
 /// scheduler noise on shared runners; the peak is stable enough for the
 /// store-overhead gate in CI to compare at a tight tolerance.
@@ -221,12 +254,24 @@ int main() {
   const auto r256 = run_load_best(256, 8, 2, 8192, false, 3);
   std::printf("%8d  %8d  %8s  %12.2f  %6s\n", 256, 8, "scalar",
               r256.mcodes_per_s, r256.exact ? "yes" : "NO");
-  const auto b256 = run_load_best(256, 8, 2, 8192, true, 3);
+  // Batch reps alternate with the kernel-ceiling reps; the ratio is the
+  // median of the per-rep ratios, the throughput the best rep.
+  const double workers = static_cast<double>(runtime::configured_threads());
+  RunResult b256;
+  b256.exact = true;
+  std::vector<double> ratios;
+  for (int rep = 0; rep < 3; ++rep) {
+    const RunResult r = run_load(256, 8, 2, 8192, true);
+    const double bank = bank32_mcodes_per_s(2, 8192);
+    b256.exact = b256.exact && r.exact;
+    b256.mcodes_per_s = std::max(b256.mcodes_per_s, r.mcodes_per_s);
+    ratios.push_back(bank > 0 ? r.mcodes_per_s / (workers * bank) : 0.0);
+  }
   std::printf("%8d  %8d  %8s  %12.2f  %6s\n", 256, 8, "batch",
               b256.mcodes_per_s, b256.exact ? "yes" : "NO");
-  const double speedup =
-      r256.mcodes_per_s > 0 ? b256.mcodes_per_s / r256.mcodes_per_s : 0.0;
-  std::printf("batch speedup (256ch): %.2fx\n", speedup);
+  const double speedup = percentile(ratios, 0.5);
+  std::printf("batch over kernel ceiling (256ch, %.0f workers): %.3f\n",
+              workers, speedup);
 
   // Wire-to-wire frame latency under a lighter lockstep load (the
   // throughput runs above saturate the queues, which would measure queue

@@ -226,6 +226,8 @@ void ChainBank::copy_lane(std::size_t src_lane, ChainBank& dst,
   }
   // Stage by stage (scaler and renorm are stateless); each stage checks
   // the lane indices and that `dst` was built from the same parameters.
+  // Only the Sinc state differs in form between widths (modular at one
+  // lane); the CIC copy wraps it, so a copy either way is exact.
   for (std::size_t i = 0; i < cic_.size(); ++i) {
     cic_[i].copy_lane(src_lane, dst.cic_[i], dst_lane);
   }

@@ -101,7 +101,8 @@ void CicDecimatorBank::process_inplace(std::vector<std::int64_t>& data) {
   // arithmetic and ordering are untouched, so each lane is bit-identical
   // to a dedicated CicDecimator, while the inner channel loops are
   // independent int64 lanes (wrap is add/and/xor/sub, no shifts, so
-  // SSE2/AVX2 can take them wholesale).
+  // SSE2/AVX2 can take them wholesale). At one lane the kernel runs the
+  // modular form instead (see the class comment).
   const soa::Wrap wrap(fmt_.width);
   const std::size_t C = channels_;
   if (data.size() % C != 0) {
@@ -134,10 +135,16 @@ void CicDecimatorBank::copy_lane(std::size_t src_lane, CicDecimatorBank& dst,
       dst.fmt_.width != fmt_.width) {
     throw std::invalid_argument("CicDecimatorBank: copy spec mismatch");
   }
+  // A 1-lane bank keeps its state modular (congruent mod 2^w, see the
+  // class comment); wrapping on the copy hands every destination the
+  // wrapped state the multi-lane kernel expects.
+  const soa::Wrap wrap(fmt_.width);
   const auto order = static_cast<std::size_t>(spec_.order);
   for (std::size_t k = 0; k < order; ++k) {
-    dst.integ_[k * dst.channels_ + dst_lane] = integ_[k * channels_ + src_lane];
-    dst.comb_[k * dst.channels_ + dst_lane] = comb_[k * channels_ + src_lane];
+    dst.integ_[k * dst.channels_ + dst_lane] =
+        wrap(integ_[k * channels_ + src_lane]);
+    dst.comb_[k * dst.channels_ + dst_lane] =
+        wrap(comb_[k * channels_ + src_lane]);
   }
   dst.phase_ = phase_;
 }

@@ -62,7 +62,12 @@ class CicDecimator {
 /// dedicated CicDecimator -- same wrapped additions in the same order --
 /// so per-channel output streams are bit-identical to push(); the
 /// channel-minor layout makes every inner loop a set of independent int64
-/// lanes the compiler can vectorize.
+/// lanes the compiler can vectorize. A 1-lane bank instead vectorizes
+/// over frames in the modular (Hogenauer) form: uint64_t integrators and
+/// combs with no wrap per add, one wrap per stored output -- the same
+/// samples, since a Hogenauer output is exact modulo 2^w. Its state is
+/// then kept unwrapped, congruent mod 2^w to the wrapped state of a
+/// multi-lane bank; copy_lane wraps what it copies.
 class CicDecimatorBank {
  public:
   CicDecimatorBank(design::CicSpec spec, std::size_t channels,

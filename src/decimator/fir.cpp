@@ -1,8 +1,10 @@
 #include "src/decimator/fir.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "src/decimator/simd.h"
 #include "src/decimator/soa.h"
@@ -19,10 +21,39 @@ FixedTaps FixedTaps::from_real(std::span<const double> real_taps,
   out.taps.reserve(real_taps.size());
   const double scale = std::ldexp(1.0, frac_bits);
   for (double t : real_taps) {
-    out.taps.push_back(static_cast<std::int64_t>(std::nearbyint(t * scale)));
+    const double v = std::nearbyint(t * scale);
+    // The conversion is undefined for NaN, inf and |v| >= 2^63.
+    if (!(std::abs(v) < 0x1p63)) {
+      throw std::invalid_argument("FixedTaps: tap not finite or too large");
+    }
+    out.taps.push_back(static_cast<std::int64_t>(v));
   }
   return out;
 }
+
+int mac_bits(int in_width, std::span<const std::int64_t> taps) {
+  // sum |t| saturates at 2^62, which already makes the result > 62.
+  constexpr std::uint64_t kCap = std::uint64_t{1} << 62;
+  std::uint64_t sum = 0;
+  for (const std::int64_t t : taps) {
+    const std::uint64_t mag = t < 0 ? 0 - static_cast<std::uint64_t>(t)
+                                    : static_cast<std::uint64_t>(t);
+    sum = std::min(kCap, sum + std::min(kCap, mag));
+  }
+  return (in_width - 1) + static_cast<int>(std::bit_width(sum));
+}
+
+namespace {
+
+void check_mac_width(const char* who, const fx::Format& in_fmt,
+                     const FixedTaps& taps) {
+  if (mac_bits(in_fmt.width, taps.taps) > kMaxMacBits) {
+    throw std::invalid_argument(std::string(who) +
+                                ": accumulator would exceed 62 bits");
+  }
+}
+
+}  // namespace
 
 std::vector<double> FixedTaps::to_real() const {
   std::vector<double> out;
@@ -42,6 +73,7 @@ FirDecimator::FirDecimator(FixedTaps taps, int decimation, fx::Format in_fmt,
       delay_(taps_.size(), 0) {
   if (decimation_ < 1) throw std::invalid_argument("FirDecimator: decimation >= 1");
   if (taps_.taps.empty()) throw std::invalid_argument("FirDecimator: empty taps");
+  check_mac_width("FirDecimator", in_fmt_, taps_);
 }
 
 void FirDecimator::reset() {
@@ -101,6 +133,7 @@ FirDecimatorBank::FirDecimatorBank(FixedTaps taps, int decimation,
   if (channels_ == 0) {
     throw std::invalid_argument("FirDecimatorBank: channels >= 1");
   }
+  check_mac_width("FirDecimatorBank", in_fmt, taps_);
 }
 
 void FirDecimatorBank::reset() {

@@ -20,17 +20,29 @@ struct FixedTaps {
   std::vector<std::int64_t> taps;
   int frac_bits = 0;
 
+  /// round(t * 2^frac_bits) per tap. Throws std::invalid_argument for
+  /// frac_bits outside [0, 60] and for a tap that is not finite or whose
+  /// scaled value does not fit in int64_t.
   static FixedTaps from_real(std::span<const double> real_taps, int frac_bits);
   std::vector<double> to_real() const;
   std::size_t size() const { return taps.size(); }
 };
+
+/// Worst-case accumulator width of an int64 MAC over `taps` fed samples
+/// of an `in_width`-bit format: |x| <= 2^(in_width - 1), so every partial
+/// sum, in any order, stays below 2^((in_width - 1) + bit_width(sum |t|)).
+/// The block kernels and push() accumulate in int64_t, so a stage needs
+/// this to be <= 62 (kMaxMacBits).
+int mac_bits(int in_width, std::span<const std::int64_t> taps);
+inline constexpr int kMaxMacBits = 62;
 
 /// FIR filter with optional decimation, full-precision accumulator.
 class FirDecimator {
  public:
   /// `out_fmt` is the output sample format; the accumulator's fractional
   /// part (input frac + coeff frac) is rounded into it, saturating (like
-  /// every FIR datapath in the chain).
+  /// every FIR datapath in the chain). Throws std::invalid_argument when
+  /// mac_bits(in_fmt.width, taps) exceeds kMaxMacBits.
   FirDecimator(FixedTaps taps, int decimation, fx::Format in_fmt,
                fx::Format out_fmt,
                fx::Rounding rounding = fx::Rounding::kRoundNearest);

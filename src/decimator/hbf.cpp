@@ -48,18 +48,35 @@ HbfParams make_hbf_params(const design::SaramakiHbf& design, fx::Format in_fmt,
   p.rq_out = soa::Requant(p.prod_fmt.frac, out_fmt,
                           fx::Rounding::kRoundNearest,
                           fx::event_counters("hbf_out"));
-  const double scale = std::ldexp(1.0, p.coeff_frac);
   // Use the CSD-quantized coefficient values from the design: the datapath
   // must be bit-consistent with the shift-add network the RTL builds.
-  for (const auto& c : design.f2_csd) {
-    p.f2_coeffs.push_back(
-        static_cast<std::int64_t>(std::nearbyint(c.to_double() * scale)));
+  // from_real refuses a coefficient scale the int64 taps cannot hold.
+  std::vector<double> f2, f1;
+  for (const auto& c : design.f2_csd) f2.push_back(c.to_double());
+  for (const auto& c : design.f1_csd) f1.push_back(c.to_double());
+  p.f2_coeffs = FixedTaps::from_real(f2, p.coeff_frac).taps;
+  p.f1_coeffs = FixedTaps::from_real(f1, p.coeff_frac).taps;
+  const double half = 0.5;
+  p.half_coeff = FixedTaps::from_real({&half, 1}, p.coeff_frac).taps[0];
+  // Each product is requantized on its own, so the int64 bound is per
+  // product: a G2 tap multiplies a pre-added pair of internal-format
+  // samples (one bit wider), an output tap one sample. The requantized
+  // products then sum n2 (G2) or n1 + 1 (output) at a time.
+  int widest = 0;
+  for (const std::int64_t c : p.f2_coeffs) {
+    widest = std::max(widest, mac_bits(p.internal_fmt.width + 1, {&c, 1}));
   }
-  for (const auto& c : design.f1_csd) {
-    p.f1_coeffs.push_back(
-        static_cast<std::int64_t>(std::nearbyint(c.to_double() * scale)));
+  for (const std::int64_t c : p.f1_coeffs) {
+    widest = std::max(widest, mac_bits(p.internal_fmt.width, {&c, 1}));
   }
-  p.half_coeff = static_cast<std::int64_t>(std::nearbyint(0.5 * scale));
+  widest = std::max(widest,
+                    mac_bits(p.internal_fmt.width, {&p.half_coeff, 1}));
+  const auto terms = static_cast<std::int64_t>(std::max(p.n2, p.n1 + 1));
+  widest = std::max(widest, mac_bits(p.prod_fmt.width, {&terms, 1}));
+  if (widest > kMaxMacBits) {
+    throw std::invalid_argument(
+        "SaramakiHbfDecimator: product or sum would exceed 62 bits");
+  }
   return p;
 }
 
@@ -207,26 +224,21 @@ SaramakiHbfBank::SaramakiHbfBank(const design::SaramakiHbf& design,
     throw std::invalid_argument("SaramakiHbfBank: channels >= 1");
   }
   block_hist_.resize(2 * p_.n1 - 1);
-  block_pos_.assign(block_hist_.size(), 0);
   for (auto& h : block_hist_) h.assign(2 * p_.n2 * channels_, 0);
   odd_delay_.assign(((p_.big_d + 1) / 2) * channels_, 0);
   branch_delay_.resize(p_.n1 - 1);
-  bpos_.assign(p_.n1 - 1, 0);
   for (std::size_t i = 1; i < p_.n1; ++i) {
     branch_delay_[i - 1].assign(((p_.big_d - (2 * i - 1) * p_.d2) / 2) *
                                     channels_,
                                 0);
   }
-  branch_scratch_.resize(p_.n1);
+  branch_ext_.resize(p_.n1);
 }
 
 void SaramakiHbfBank::reset() {
   for (auto& h : block_hist_) std::fill(h.begin(), h.end(), 0);
-  std::fill(block_pos_.begin(), block_pos_.end(), 0);
   std::fill(odd_delay_.begin(), odd_delay_.end(), 0);
   for (auto& d : branch_delay_) std::fill(d.begin(), d.end(), 0);
-  std::fill(bpos_.begin(), bpos_.end(), 0);
-  opos_ = 0;
   phase_ = 0;
 }
 
@@ -240,9 +252,9 @@ void SaramakiHbfBank::copy_lane(std::size_t src_lane, SaramakiHbfBank& dst,
       dst.p_.f2_coeffs != p_.f2_coeffs || dst.p_.f1_coeffs != p_.f1_coeffs) {
     throw std::invalid_argument("SaramakiHbfBank: copy design mismatch");
   }
-  // Row r of every delay structure has the same meaning in both banks and
-  // all cursors are shared across lanes, so the copy is a strided lane
-  // copy per structure plus the cursor values.
+  // Every bank stores each delay line oldest row first, at any width, so
+  // row r holds the same sample in both banks and the copy is a strided
+  // lane copy per structure.
   const auto copy = [&](const std::vector<std::int64_t>& from,
                         std::vector<std::int64_t>& to) {
     const std::size_t rows = from.size() / channels_;
@@ -253,48 +265,55 @@ void SaramakiHbfBank::copy_lane(std::size_t src_lane, SaramakiHbfBank& dst,
   for (std::size_t k = 0; k < block_hist_.size(); ++k) {
     copy(block_hist_[k], dst.block_hist_[k]);
   }
-  dst.block_pos_ = block_pos_;
   copy(odd_delay_, dst.odd_delay_);
-  dst.opos_ = opos_;
   for (std::size_t i = 0; i < branch_delay_.size(); ++i) {
     copy(branch_delay_[i], dst.branch_delay_[i]);
   }
-  dst.bpos_ = bpos_;
   dst.phase_ = phase_;
 }
+
+namespace {
+
+/// Concatenate `line` (a delay line, oldest row first) and `rows` into
+/// `ext`, then keep the newest line-length rows of `ext` as the new line:
+/// row m of `ext` is then row m of `rows` delayed by the line's length.
+void delay_through(std::vector<std::int64_t>& line,
+                   const std::vector<std::int64_t>& rows,
+                   std::vector<std::int64_t>& ext) {
+  ext.resize(line.size() + rows.size());
+  std::copy(line.begin(), line.end(), ext.begin());
+  std::copy(rows.begin(), rows.end(), ext.begin() + line.size());
+  std::copy(ext.end() - line.size(), ext.end(), line.begin());
+}
+
+/// Rows first, first + 2, ... of `src` (`n` of them) into `dst`.
+void take_every_other_row(const std::int64_t* src, std::size_t first,
+                          std::size_t n, std::size_t C, std::int64_t* dst) {
+  if (C == 1) {
+    for (std::size_t m = 0; m < n; ++m) dst[m] = src[first + 2 * m];
+    return;
+  }
+  for (std::size_t m = 0; m < n; ++m) {
+    std::copy_n(src + (first + 2 * m) * C, C, dst + m * C);
+  }
+}
+
+}  // namespace
 
 void SaramakiHbfBank::g2_bank_pass(std::size_t block,
                                    std::vector<std::int64_t>& stream,
                                    soa::RequantTally& t_prod,
                                    soa::RequantTally& t_int) {
   // G2Block::step over a whole even-phase stream, every sample widened to
-  // a row of C channels: the circular history plus the incoming rows
-  // become one contiguous buffer, so every output row is a linear
-  // symmetric MAC. The per-product requantize runs inline per lane in
-  // step()'s tap order, with events tallied in bulk.
-  const std::size_t C = channels_;
-  const std::size_t n = 2 * p_.n2;  // history rows
-  std::vector<std::int64_t>& hist = block_hist_[block];
-  std::size_t& pos = block_pos_[block];
-  const std::size_t frames = stream.size() / C;
-
-  g2_ext_.resize((n + frames) * C);
-  for (std::size_t j = 0; j < n; ++j) {
-    std::copy_n(hist.data() + ((pos + j) % n) * C, C, g2_ext_.data() + j * C);
-  }
-  std::copy_n(stream.data(), frames * C, g2_ext_.data() + n * C);
-
-  simd::kernels().hbf_g2(stream.data(), g2_ext_.data(), frames, C,
+  // a row of C channels: the history plus the incoming rows are one
+  // contiguous buffer, so every output row is a linear symmetric MAC. The
+  // per-product requantize runs inline per lane in step()'s tap order,
+  // with events tallied in bulk.
+  delay_through(block_hist_[block], stream, g2_ext_);
+  const std::size_t frames = stream.size() / channels_;
+  simd::kernels().hbf_g2(stream.data(), g2_ext_.data(), frames, channels_,
                          p_.f2_coeffs.data(), p_.f2_coeffs.size(), p_.rq_prod,
                          p_.rq_int, t_prod, t_int);
-
-  // Streaming state write-back, row-wise.
-  const std::size_t advanced = (pos + frames) % n;
-  for (std::size_t j = 0; j < n; ++j) {
-    std::copy_n(g2_ext_.data() + (frames + j) * C, C,
-                hist.data() + ((advanced + j) % n) * C);
-  }
-  pos = advanced;
 }
 
 void SaramakiHbfBank::process_inplace(std::vector<std::int64_t>& data) {
@@ -308,72 +327,58 @@ void SaramakiHbfBank::process_inplace(std::vector<std::int64_t>& data) {
   // Batched polyphase form of push(). push() interleaves the two phases
   // sample by sample; here the block is split once and every branch runs
   // as a pass over rows at the output rate:
-  //   A. promote + phase split, harvesting the 0.5-path (odd) rows
-  //      through its delay line in push order;
-  //   B. the G2 cascade, one g2_bank_pass per block;
-  //   C. branch-alignment delay lines, one pass per branch;
-  //   D. the f1 output combination.
+  //   A. promote + phase split; the odd rows go through the 0.5-path
+  //      delay line;
+  //   B. the G2 cascade, one g2_bank_pass per block, each odd cascade
+  //      output through its branch-alignment delay line;
+  //   C. the f1 output combination.
   // Every sample sees the identical operations in the identical order as
   // push(), so outputs, state, and fx event-counter totals all match; the
   // events are tallied per site and flushed once at the end of the block.
   soa::RequantTally t_in, t_prod, t_int, t_out;
 
-  // --- A: promote into the guard format, then split phase rows through
-  // the 0.5-path delay line in push order.
+  // --- A: promote into the guard format, then split the phases. Even
+  // frames are those met at phase 0; a block that starts at phase 1
+  // leads with an odd frame.
   simd::kernels().requant_rows(data.data(), data.size(), p_.rq_in, t_in);
-
-  // Even frames are those met at phase 0; each takes one 0.5-path row.
-  const std::size_t out_frames =
-      (frames + 1 - static_cast<std::size_t>(phase_)) / 2;
+  const auto lead = static_cast<std::size_t>(phase_);
+  const std::size_t out_frames = (frames + 1 - lead) / 2;
+  const std::size_t odd_frames = frames - out_frames;
+  phase_ = static_cast<int>((lead + frames) % 2);
   even_scratch_.resize(out_frames * C);
-  half_scratch_.resize(out_frames * C);
-  std::int64_t* even = even_scratch_.data();
-  std::int64_t* half = half_scratch_.data();
-  const std::size_t odd_rows = odd_delay_.size() / C;
-  for (std::size_t f = 0; f < frames; ++f) {
-    const std::int64_t* const row = data.data() + f * C;
-    std::int64_t* const odd = odd_delay_.data() + opos_ * C;
-    if (phase_ == 1) {
-      for (std::size_t c = 0; c < C; ++c) odd[c] = row[c];
-      if (++opos_ == odd_rows) opos_ = 0;
-      phase_ = 0;
-    } else {
-      // Delay-line read precedes the paired odd row's write, as in push().
-      for (std::size_t c = 0; c < C; ++c) half[c] = odd[c];
-      for (std::size_t c = 0; c < C; ++c) even[c] = row[c];
-      half += C;
-      even += C;
-      phase_ = 1;
-    }
-  }
+  take_every_other_row(data.data(), lead, out_frames, C,
+                       even_scratch_.data());
+  // push() reads the 0.5-path line's oldest row at each even frame, before
+  // the next odd row goes in: even frame m has m + lead odd rows of this
+  // block ahead of it, so its row is row m + lead of [line | odd rows].
+  const std::size_t line_rows = odd_delay_.size() / C;
+  odd_ext_.resize((line_rows + odd_frames) * C);
+  std::copy(odd_delay_.begin(), odd_delay_.end(), odd_ext_.begin());
+  take_every_other_row(data.data(), 1 - lead, odd_frames, C,
+                       odd_ext_.data() + line_rows * C);
+  std::copy(odd_ext_.end() - static_cast<std::ptrdiff_t>(odd_delay_.size()),
+            odd_ext_.end(), odd_delay_.begin());
 
-  // --- B: G2 cascade over even rows.
+  // --- B: G2 cascade over even rows; odd cascade output i (every other
+  // block) runs through branch i's alignment delay (the last branch has
+  // none).
   std::vector<std::int64_t>& cur = even_scratch_;
   for (std::size_t k = 0; k < block_hist_.size(); ++k) {
     g2_bank_pass(k, cur, t_prod, t_int);
-    if (k % 2 == 0) {
-      branch_scratch_[k / 2].assign(cur.begin(), cur.end());
+    if (k % 2 != 0) continue;
+    const std::size_t i = k / 2;
+    if (i < branch_delay_.size()) {
+      delay_through(branch_delay_[i], cur, branch_ext_[i]);
+    } else {
+      branch_ext_[i].assign(cur.begin(), cur.end());
     }
   }
 
-  // --- C: branch-alignment delay lines, row-wise swaps.
-  for (std::size_t i = 1; i < p_.n1; ++i) {
-    auto& line = branch_delay_[i - 1];
-    auto& p = bpos_[i - 1];
-    const std::size_t rows = line.size() / C;
-    auto& w = branch_scratch_[i - 1];
-    for (std::size_t m = 0; m < out_frames; ++m) {
-      std::swap_ranges(w.data() + m * C, w.data() + (m + 1) * C,
-                       line.data() + p * C);
-      if (++p == rows) p = 0;
-    }
-  }
-
-  // --- D: 0.5 path + f1 taps; output rows overwrite `data`.
+  // --- C: 0.5 path + f1 taps; output rows overwrite `data`.
   data.resize(out_frames * C);
   branch_rows_.clear();
-  for (const auto& b : branch_scratch_) branch_rows_.push_back(b.data());
-  simd::kernels().hbf_out(data.data(), half_scratch_.data(),
+  for (const auto& b : branch_ext_) branch_rows_.push_back(b.data());
+  simd::kernels().hbf_out(data.data(), odd_ext_.data() + lead * C,
                           branch_rows_.data(), p_.n1, p_.half_coeff,
                           p_.f1_coeffs.data(), out_frames, C, p_.rq_prod,
                           p_.rq_out, t_prod, t_out);

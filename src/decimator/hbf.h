@@ -132,9 +132,9 @@ class SaramakiHbfBank {
   /// Copy lane `src_lane`'s streaming state (G2 cascade histories, the
   /// 0.5-path delay, branch delays) into lane `dst_lane` of `dst`, a bank
   /// built from the same design, so that lane continues the stream
-  /// bit-exactly. The cursors and the decimate-by-2 phase are shared by
-  /// all lanes and are copied too, so `dst`'s other lanes must be at the
-  /// same stream position (any 1-lane `dst` is).
+  /// bit-exactly. The decimate-by-2 phase is shared by all lanes and is
+  /// copied too, so `dst`'s other lanes must be at the same stream
+  /// position (any 1-lane `dst` is).
   void copy_lane(std::size_t src_lane, SaramakiHbfBank& dst,
                  std::size_t dst_lane) const;
 
@@ -148,20 +148,20 @@ class SaramakiHbfBank {
   hbf_detail::HbfParams p_;
   std::size_t channels_;
 
-  /// G2 cascade state: per block, 2*n2 rows of C channels + row cursor.
-  std::vector<std::vector<std::int64_t>> block_hist_;
-  std::vector<std::size_t> block_pos_;
-  std::vector<std::int64_t> odd_delay_;  ///< (D+1)/2 rows of C
-  std::size_t opos_ = 0;
-  std::vector<std::vector<std::int64_t>> branch_delay_;  ///< rows of C
-  std::vector<std::size_t> bpos_;
+  // Delay lines, rows of C channels, oldest row first: a block reads one
+  // as the contiguous prefix of an extended buffer and writes the newest
+  // rows back in one copy, so no cursor is kept.
+  std::vector<std::vector<std::int64_t>> block_hist_;  ///< 2*n2 rows each
+  std::vector<std::int64_t> odd_delay_;                ///< (D+1)/2 rows
+  std::vector<std::vector<std::int64_t>> branch_delay_;
   int phase_ = 0;
 
   // Scratch rows (reused across blocks).
   std::vector<std::int64_t> even_scratch_;
-  std::vector<std::int64_t> half_scratch_;
+  std::vector<std::int64_t> odd_ext_;  ///< 0.5-path history + odd rows
   std::vector<std::int64_t> g2_ext_;
-  std::vector<std::vector<std::int64_t>> branch_scratch_;
+  /// Per f1 branch: its delay line's history, then the branch's G2 rows.
+  std::vector<std::vector<std::int64_t>> branch_ext_;
   std::vector<const std::int64_t*> branch_rows_;  ///< hbf_out kernel arg
 };
 

@@ -11,9 +11,10 @@
 //
 // Bit-exactness across tiers is structural: every kernel is the same
 // source and does exact integer arithmetic with one independent
-// accumulator chain per channel lane (taps iterate in the outer loop, so
-// vectorizing the channel loop never reorders a chain), and the tally
-// reductions are plain integer sums. tests/test_simd_dispatch.cpp pins
+// accumulator chain per output (taps iterate in the outer loop, so
+// vectorizing the channel loop -- or, at one lane, the frame loop --
+// never reorders a chain), and the tally reductions are plain integer
+// sums. tests/test_simd_dispatch.cpp pins
 // each supported tier and asserts identical outputs and counter totals.
 //
 // Environment:
@@ -47,8 +48,9 @@ struct BankKernels {
   /// instead of 2*order full-buffer passes). `integ`/`comb` hold order*C
   /// state rows; `skip` is the first kept frame index. Per frame the
   /// sections run in cascade order -- exactly the scalar push() sequence,
-  /// so the fusion is bit-identical to section-wise passes. Returns the
-  /// output frame count.
+  /// so the fusion is bit-identical to section-wise passes. At C == 1 it
+  /// runs the modular form instead: same outputs, state kept unwrapped
+  /// (congruent mod 2^w). Returns the output frame count.
   std::size_t (*cic_stage)(std::int64_t* data, std::size_t frames,
                            std::size_t C, std::int64_t* integ,
                            std::int64_t* comb, std::size_t order,
@@ -56,7 +58,7 @@ struct BankKernels {
                            soa::Wrap wrap);
   /// FIR emit loop over the extended window buffer; writes requantized
   /// output rows to the front of `data` and returns the row count. `acc`
-  /// is a caller-owned C-wide scratch row.
+  /// is a caller-owned C-wide scratch row (unused at C == 1).
   std::size_t (*fir_emit)(std::int64_t* data, const std::int64_t* ext,
                           std::size_t frames, std::size_t C,
                           const std::int64_t* taps, std::size_t tap_count,

@@ -132,6 +132,10 @@ struct Server::Connection {
   std::atomic<bool> dead{false};        ///< socket send failed; discard
   std::atomic<std::size_t> jobs{0};     ///< submitted, callback not done
   std::atomic<bool> reader_done{false};
+  /// Every response is flushed and no thread touches the connection
+  /// again (the threads backend's writer exited, or the event thread
+  /// finalized it): the next accept reaps it.
+  std::atomic<bool> retired{false};
   std::thread reader;  ///< threads backend
   std::thread writer;  ///< threads backend
 
@@ -284,6 +288,16 @@ void Server::accept_loop(int listen_fd) {
   }
 }
 
+void Server::reap_retired_locked() {
+  std::erase_if(conns_, [](const std::shared_ptr<Connection>& c) {
+    if (!c->retired.load(std::memory_order_acquire)) return false;
+    if (c->reader.joinable()) c->reader.join();
+    if (c->writer.joinable()) c->writer.join();
+    ::close(c->fd);
+    return true;
+  });
+}
+
 void Server::spawn_connection(int fd) {
   const bool epoll_mode = !events_.empty();
   auto conn = std::make_shared<Connection>(
@@ -295,6 +309,7 @@ void Server::spawn_connection(int fd) {
     conn->owner = &et;
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
+      reap_retired_locked();
       conns_.push_back(conn);
     }
     {
@@ -308,6 +323,7 @@ void Server::spawn_connection(int fd) {
   conn->reader = std::thread([this, conn] { reader_loop(conn); });
   conn->writer = std::thread([this, conn] { writer_loop(conn); });
   std::lock_guard<std::mutex> lock(conns_mu_);
+  reap_retired_locked();
   conns_.push_back(std::move(conn));
 }
 
@@ -622,6 +638,7 @@ void Server::writer_loop(const std::shared_ptr<Connection>& conn) {
   // Ring closed: every response is flushed. Signal EOF so the client
   // observes the teardown without waiting for server stop.
   ::shutdown(conn->fd, SHUT_WR);
+  conn->retired.store(true, std::memory_order_release);
 }
 
 #ifdef __linux__
@@ -743,6 +760,7 @@ void Server::flush_out(EventThread& et,
       conn->finalized = true;
       ::shutdown(conn->fd, SHUT_WR);
       ::epoll_ctl(et.ep, EPOLL_CTL_DEL, conn->fd, nullptr);
+      conn->retired.store(true, std::memory_order_release);
       et.owned.erase(conn.get());
     }
   }

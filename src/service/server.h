@@ -131,6 +131,10 @@ class Server {
 
   void accept_loop(int listen_fd);
   void spawn_connection(int fd);
+  /// Drops the connections whose I/O has finished (Connection::retired):
+  /// joins their exited threads and closes their sockets. Caller holds
+  /// conns_mu_.
+  void reap_retired_locked();
   void reader_loop(const std::shared_ptr<Connection>& conn);
   void writer_loop(const std::shared_ptr<Connection>& conn);
   /// Dispatch one validated frame. `f.payload` borrows the connection's
@@ -173,6 +177,7 @@ class Server {
   std::atomic<std::uint32_t> next_conn_id_{1};
 
   mutable std::mutex conns_mu_;
+  /// Live connections, plus retired ones until the next accept reaps them.
   std::vector<std::shared_ptr<Connection>> conns_;
 
   /// OPEN/CONFIG blob interning: payload bytes -> decoded config, shared

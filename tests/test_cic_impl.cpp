@@ -126,32 +126,100 @@ TEST(CicImpl, RejectsBadSpecs) {
   EXPECT_THROW(CicDecimator(CicSpec{20, 8, 16}), std::invalid_argument);
 }
 
+/// Uniform over the whole int32_t range: what a client can put in a DATA
+/// frame, far past any Sinc register width.
+std::vector<std::int64_t> full_range_codes(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<std::int32_t> dist(INT32_MIN, INT32_MAX);
+  std::vector<std::int64_t> v(n);
+  for (auto& x : v) x = dist(rng);
+  return v;
+}
+
+std::vector<std::int64_t> push_all(const CicSpec& spec,
+                                   const std::vector<std::int64_t>& in) {
+  CicDecimator ref(spec);
+  std::vector<std::int64_t> out;
+  std::int64_t y = 0;
+  for (const std::int64_t x : in) {
+    if (ref.push(x, y)) out.push_back(y);
+  }
+  return out;
+}
+
 // CicDecimatorBank is the stage's block form (DecimationChain runs it at
-// one lane). At 1 and 3 lanes, every lane must equal push() over the same
-// stream whatever the block split, with registers that wrap.
+// one lane, in modular arithmetic). At 1 and 3 lanes, every lane must
+// equal push() over the same stream whatever the block split, with
+// registers that wrap: in-range codes, and full int32_t inputs that
+// overflow the register width so that the output wrap does the work.
 TEST(CicBank, LanesMatchPushForAnyBlockSplit) {
   for (const CicSpec spec : {CicSpec{4, 2, 4}, CicSpec{6, 2, 12},
                              CicSpec{3, 5, 8}}) {
-    for (const std::size_t lanes : {1u, 3u}) {
-      std::vector<std::vector<std::int64_t>> in;
-      std::vector<std::vector<std::int64_t>> want;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        in.push_back(random_codes(4099, spec.input_bits,
-                                  static_cast<unsigned>(17 + l)));
-        CicDecimator ref(spec);
-        want.emplace_back();
-        std::int64_t y = 0;
-        for (const std::int64_t x : in.back()) {
-          if (ref.push(x, y)) want.back().push_back(y);
+    for (const bool full_range : {false, true}) {
+      for (const std::size_t lanes : {1u, 3u}) {
+        std::vector<std::vector<std::int64_t>> in;
+        std::vector<std::vector<std::int64_t>> want;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const auto seed = static_cast<unsigned>(17 + l);
+          in.push_back(full_range ? full_range_codes(4099, seed)
+                                  : random_codes(4099, spec.input_bits, seed));
+          want.push_back(push_all(spec, in.back()));
+        }
+        for (const std::size_t block : {1u, 7u, 256u, 4096u}) {
+          decim::CicDecimatorBank bank(spec, lanes);
+          EXPECT_EQ(testutil::run_bank(bank, in, block), want)
+              << "K=" << spec.order << " M=" << spec.decimation << ", "
+              << lanes << " lanes, block " << block
+              << (full_range ? ", full int32 range" : "");
         }
       }
-      for (const std::size_t block : {1u, 7u, 256u, 4096u}) {
-        decim::CicDecimatorBank bank(spec, lanes);
-        EXPECT_EQ(testutil::run_bank(bank, in, block), want)
-            << "K=" << spec.order << " M=" << spec.decimation << ", "
-            << lanes << " lanes, block " << block;
-      }
     }
+  }
+}
+
+// A lane copied mid-stream continues bit-exactly, from a 3-lane bank
+// (wrapped state) into a 1-lane bank (modular state) and back.
+TEST(CicBank, LaneCopyAcrossWidthsContinuesExactly) {
+  const CicSpec spec{6, 2, 12};
+  const std::size_t split = 1001;  // odd: the copy lands mid-decimation
+  std::vector<std::vector<std::int64_t>> in;
+  for (unsigned l = 0; l < 3; ++l) in.push_back(full_range_codes(4099, 40 + l));
+  const auto head = [&](const std::vector<std::int64_t>& v) {
+    return std::vector<std::int64_t>(v.begin(), v.begin() + split);
+  };
+  const auto tail = [&](const std::vector<std::int64_t>& v) {
+    return std::vector<std::int64_t>(v.begin() + split, v.end());
+  };
+  const auto concat = [](std::vector<std::int64_t> a,
+                         const std::vector<std::int64_t>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  for (const std::size_t block : {7u, 256u, 4096u}) {
+    // 3 lanes -> 1 lane: lane 1 moves out.
+    decim::CicDecimatorBank wide(spec, 3);
+    const auto wide_head = testutil::run_bank(
+        wide, {head(in[0]), head(in[1]), head(in[2])}, block);
+    decim::CicDecimatorBank narrow(spec, 1);
+    wide.copy_lane(1, narrow, 0);
+    const auto narrow_tail = testutil::run_bank(narrow, {tail(in[1])}, block);
+    EXPECT_EQ(concat(wide_head[1], narrow_tail[0]), push_all(spec, in[1]))
+        << "3 -> 1 lanes, block " << block;
+
+    // 1 lane -> 3 lanes: lane 2 moves in next to lanes at the same
+    // stream position.
+    decim::CicDecimatorBank one(spec, 1);
+    const auto one_head = testutil::run_bank(one, {head(in[2])}, block);
+    decim::CicDecimatorBank three(spec, 3);
+    const auto three_head = testutil::run_bank(
+        three, {head(in[0]), head(in[1]), head(in[0])}, block);
+    one.copy_lane(0, three, 2);
+    const auto three_tail = testutil::run_bank(
+        three, {tail(in[0]), tail(in[1]), tail(in[2])}, block);
+    EXPECT_EQ(concat(one_head[0], three_tail[2]), push_all(spec, in[2]))
+        << "1 -> 3 lanes, block " << block;
+    EXPECT_EQ(concat(three_head[1], three_tail[1]), push_all(spec, in[1]))
+        << "untouched lane, block " << block;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "src/decimator/fir.h"
@@ -83,6 +84,29 @@ TEST(FirDecimator, RejectsBadArgs) {
   EXPECT_THROW(FirDecimator(FixedTaps{{1}, 0}, 0, fx::Format{8, 0},
                             fx::Format{8, 0}),
                std::invalid_argument);
+}
+
+TEST(FirDecimator, RejectsNonFiniteTapsAndAccumulatorsPast62Bits) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, 1e30}) {
+    const std::vector<double> taps = {0.25, bad, 0.25};
+    EXPECT_THROW(FixedTaps::from_real(taps, 14), std::invalid_argument);
+  }
+  // (in_width - 1) + bit_width(sum |t|) <= 62: 18-bit samples leave 45
+  // bits of tap magnitude, in either form of the stage.
+  const fx::Format in{18, 15};
+  const fx::Format out{14, 13};
+  const FixedTaps fits{{std::int64_t{1} << 43, std::int64_t{1} << 43}, 14};
+  const FixedTaps wide{{std::int64_t{1} << 44, std::int64_t{1} << 44}, 14};
+  EXPECT_EQ(decim::mac_bits(in.width, fits.taps), 62);
+  EXPECT_NO_THROW(FirDecimator(fits, 1, in, out));
+  EXPECT_NO_THROW(decim::FirDecimatorBank(fits, 1, 4, in, out));
+  EXPECT_THROW(FirDecimator(wide, 1, in, out), std::invalid_argument);
+  EXPECT_THROW(decim::FirDecimatorBank(wide, 1, 4, in, out),
+               std::invalid_argument);
+  const FixedTaps most_negative{{INT64_MIN}, 0};
+  EXPECT_THROW(FirDecimator(most_negative, 1, in, out), std::invalid_argument);
 }
 
 class PolyphaseVsDirect : public ::testing::TestWithParam<std::size_t> {};

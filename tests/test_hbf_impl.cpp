@@ -186,6 +186,24 @@ TEST(HbfImplErrors, RejectsEmptyDesignAndWideFormats) {
                std::invalid_argument);
 }
 
+// The products multiply int64 coefficients by internal-format samples;
+// a coefficient scale whose worst-case product passes 62 bits is refused
+// in both forms (the paper's 24 bits leave ample room).
+TEST(HbfImplErrors, RejectsCoefficientScalesPast62BitProducts) {
+  const fx::Format fmt{18, 14};
+  const auto d = design::design_saramaki_hbf(3, 6, 0.2125, 24, 0);
+  EXPECT_NO_THROW(SaramakiHbfDecimator(d, fmt, fmt, 24));
+  EXPECT_NO_THROW(decim::SaramakiHbfBank(d, 4, fmt, fmt, 24));
+  for (const int frac : {40, 55, 62}) {
+    EXPECT_THROW(SaramakiHbfDecimator(d, fmt, fmt, frac),
+                 std::invalid_argument)
+        << frac;
+    EXPECT_THROW(decim::SaramakiHbfBank(d, 4, fmt, fmt, frac),
+                 std::invalid_argument)
+        << frac;
+  }
+}
+
 // n1/n2 size every delay line and index f1/f2; a design (e.g. decoded from
 // a CFG1 frame) whose counts disagree with its CSD coefficients would read
 // past them. Both forms refuse it at construction.

@@ -505,6 +505,39 @@ TEST_F(ServiceTest, TenantsAreIsolatedByConnection) {
   server.stop();
 }
 
+TEST_F(ServiceTest, FinishedConnectionsAreReaped) {
+  // A server that accepts connection after connection (a load generator's
+  // epochs, any long-lived deployment) must not keep the finished ones:
+  // each used to hold its receive buffer and its socket until stop().
+  service::Server server(test_options("reap"));
+  server.start();
+  std::mt19937_64 rng(fuzz_seed(71));
+  const auto codes =
+      stimulus_codes(verify::StimulusClass::kModulator, 2048, rng);
+  const auto ref =
+      decim::DecimationChain(*service::preset_config(0)).process(codes);
+  constexpr std::size_t kConns = 16;
+  for (std::size_t i = 0; i < kConns; ++i) {
+    auto client = service::Client::connect_unix(server.unix_path());
+    ASSERT_TRUE(client->open(1, 0));
+    ASSERT_TRUE(client->send_data(1, codes));
+    ASSERT_TRUE(client->wait_sample_count(1, ref.size(), kWait));
+    EXPECT_EQ(client->samples(1), ref);
+  }
+  // A connection retires once the server has seen its EOF and flushed it;
+  // the next accept reaps whatever has retired by then. Short-lived
+  // probes drive the accepts.
+  const auto deadline = std::chrono::steady_clock::now() + kWait;
+  std::size_t held = server.connection_count();
+  while (held > 2 && std::chrono::steady_clock::now() < deadline) {
+    auto probe = service::Client::connect_unix(server.unix_path());
+    std::this_thread::sleep_for(5ms);
+    held = server.connection_count();
+  }
+  EXPECT_LE(held, 2u) << "finished connections still held";
+  server.stop();
+}
+
 TEST_F(ServiceTest, PerTenantMetricsAccumulate) {
   service::Server server(test_options("metrics"));
   server.start();
@@ -725,6 +758,73 @@ TEST_F(ServiceTest, NonFiniteOrHugeScaleRefusedAndSessionKeepsServing) {
   // DATA on a refused channel finds no session.
   ASSERT_TRUE(client->send_data(10, parts[0]));
   EXPECT_TRUE(client->wait_error(service::ErrorCode::kNotOpen, kWait));
+  client.reset();
+  server.stop();
+}
+
+TEST_F(ServiceTest, MacOverflowConfigsRefusedAndSessionKeepsServing) {
+  // Configs whose multiply-accumulates overflow int64 on a shared worker:
+  // a NaN equalizer tap (INT64_MIN x -1 in fir_emit), equalizer taps
+  // x1e12 or at 60 frac bits (the equalizer accumulator), and 55 or 62
+  // HBF coefficient frac bits (the hbf_g2 products). The stages refuse
+  // them at construction, from the formats' worst-case widths: a CONFIG
+  // carrying one gets an ERROR frame and its session keeps serving on its
+  // old chain; an OPEN carrying one gets an ERROR frame and leaves no
+  // session.
+  service::Server server(test_options("mac_overflow"));
+  server.start();
+  auto client = service::Client::connect_unix(server.unix_path());
+
+  const decim::ChainConfig cfg = decim::paper_chain_config();
+  std::vector<decim::ChainConfig> bad(5, cfg);
+  bad[0].equalizer_taps[7] = std::numeric_limits<double>::quiet_NaN();
+  for (double& t : bad[1].equalizer_taps) t *= 1e12;
+  bad[2].equalizer_frac_bits = 60;
+  bad[3].hbf_coeff_frac_bits = 55;
+  bad[4].hbf_coeff_frac_bits = 62;
+  std::mt19937_64 rng(fuzz_seed(67));
+  std::vector<std::vector<std::int32_t>> parts;
+  for (std::size_t i = 0; i <= bad.size(); ++i) {
+    parts.push_back(
+        stimulus_codes(verify::StimulusClass::kModulator, 1024, rng));
+  }
+  decim::DecimationChain ref(cfg);
+  std::vector<std::int64_t> expect;
+  for (const auto& part : parts) {
+    const auto out = ref.process(part);
+    expect.insert(expect.end(), out.begin(), out.end());
+  }
+
+  const std::uint32_t good = 3;
+  ASSERT_TRUE(client->open_config(good, cfg));
+  ASSERT_TRUE(client->wait_ack_count(good, 1, kWait)) << "OPEN not acked";
+  ASSERT_TRUE(client->send_data(good, parts[0]));
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const auto refused = static_cast<std::uint32_t>(10 + i);
+    ASSERT_TRUE(client->open_config(refused, bad[i]));
+    ASSERT_TRUE(client->reconfigure_config(good, bad[i]));
+    ASSERT_TRUE(client->send_data(good, parts[i + 1]));
+  }
+  ASSERT_TRUE(client->wait_sample_count(good, expect.size(), kWait));
+  EXPECT_EQ(client->samples(good), expect);
+
+  // One ERROR per refused OPEN and one per refused CONFIG.
+  const std::size_t want_errors = 2 * bad.size();
+  const auto deadline = std::chrono::steady_clock::now() + kWait;
+  while (client->errors().size() < want_errors &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::map<std::uint32_t, std::size_t> errors_by_channel;
+  for (const auto& [ch, code] : client->errors()) {
+    EXPECT_EQ(code, service::ErrorCode::kInternal) << "channel " << ch;
+    ++errors_by_channel[ch];
+  }
+  EXPECT_EQ(errors_by_channel[good], bad.size());
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_EQ(errors_by_channel[static_cast<std::uint32_t>(10 + i)], 1u)
+        << "config " << i;
+  }
   client.reset();
   server.stop();
 }
