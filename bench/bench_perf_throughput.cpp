@@ -411,49 +411,6 @@ void BM_RtlSimChainCompiledActivity(benchmark::State& state) {
 }
 BENCHMARK(BM_RtlSimChainCompiledActivity);
 
-// JIT codegen engine on the same chain and stimulus: the tape is emitted
-// as straight-line C++, compiled, and dlopen'd. Construction cost (or a
-// cache hit) is paid outside the timed loop; the ratio to the tape
-// engine is rtl_codegen_speedup. Skipped (not failed) when no toolchain
-// is available -- record_speedup then silently omits the ratio.
-void BM_RtlSimChainCodegen(benchmark::State& state) {
-  const auto chain = rtl::build_chain(decim::paper_chain_config());
-  std::vector<std::int64_t> in(paper_codes().begin(),
-                               paper_codes().begin() + (1 << 13));
-  rtl::CompiledSimOptions opts;
-  opts.codegen = rtl::CompiledSimOptions::Codegen::kOn;
-  rtl::CompiledSimulator sim(chain.full, opts);
-  if (sim.engine() != rtl::SimEngine::kCodegen) {
-    state.SkipWithError(("codegen unavailable: " + sim.engine_detail()).c_str());
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run({{chain.in, in}}));
-  }
-  state.SetItemsProcessed(state.iterations() * in.size());
-}
-BENCHMARK(BM_RtlSimChainCodegen);
-
-// Codegen engine with activity accounting (the second emitted entry
-// point): toggle counts identical to the interpreter's, at codegen speed.
-void BM_RtlSimChainCodegenActivity(benchmark::State& state) {
-  const auto chain = rtl::build_chain(decim::paper_chain_config());
-  std::vector<std::int64_t> in(paper_codes().begin(),
-                               paper_codes().begin() + (1 << 13));
-  rtl::CompiledSimOptions opts;
-  opts.codegen = rtl::CompiledSimOptions::Codegen::kOn;
-  rtl::CompiledSimulator sim(chain.full, opts);
-  if (sim.engine() != rtl::SimEngine::kCodegen) {
-    state.SkipWithError(("codegen unavailable: " + sim.engine_detail()).c_str());
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run({{chain.in, in}}, {.activity = true}));
-  }
-  state.SetItemsProcessed(state.iterations() * in.size());
-}
-BENCHMARK(BM_RtlSimChainCodegenActivity);
-
 // Compiled engine on the proof-carrying optimizer's output: same stimulus
 // and engine as BM_RtlSimChainCompiled, but the tape is built from the
 // optimized netlist (dead nodes gone, constants folded, widths shrunk).
@@ -587,12 +544,6 @@ int main(int argc, char** argv) {
                        "BM_RtlSimChainCompiled", "BM_RtlSimChainInterp", 5.0);
   ok &= record_speedup(report, reporter, "rtl_cic_compiled_speedup",
                        "BM_RtlSimCicCompiled", "BM_RtlSimCic", 1.0);
-  // JIT codegen over the tape interpreter (measured ~15x on the paper
-  // chain; the floor leaves headroom for slower machines). Silently
-  // omitted when the codegen benchmark skipped (no toolchain).
-  ok &= record_speedup(report, reporter, "rtl_codegen_speedup",
-                       "BM_RtlSimChainCodegen", "BM_RtlSimChainCompiled",
-                       5.0);
   // Activity accounting keeps most of the tape engine's throughput: the
   // ratio is < 1 by construction (extra XOR/popcount per update), and the
   // floor guards against the accounting path regressing to the pre-SWAR

@@ -58,7 +58,7 @@ void DecimationChain::record_stage(std::size_t idx,
                                    const std::vector<std::int64_t>& samples,
                                    std::vector<StageProbe>* probes,
                                    std::int64_t* stage_start_us) {
-  const Boundary& b = boundaries_[idx];
+  Boundary& b = boundaries_[idx];
   const int width_bits = b.width_bits;
   const bool obs_on = obs::enabled();
   // The caller passes a non-null time cursor only for blocks selected by
@@ -100,14 +100,19 @@ void DecimationChain::record_stage(std::size_t idx,
     *stage_start_us = now;
   }
   if (obs_on) {
-    auto& reg = obs::Registry::instance();
-    const std::string& stage = b.name;
-    reg.gauge("chain.min_raw." + stage).set(static_cast<double>(st.min_raw));
-    reg.gauge("chain.max_raw." + stage).set(static_cast<double>(st.max_raw));
-    reg.gauge("chain.rms_raw." + stage).set(st.rms_raw);
-    reg.gauge("chain.peak_headroom_bits." + stage)
-        .set(st.peak_headroom_bits);
-    reg.counter("chain.samples." + stage).add(samples.size());
+    if (b.samples == nullptr) {
+      auto& reg = obs::Registry::instance();
+      b.min_raw = &reg.gauge("chain.min_raw." + b.name);
+      b.max_raw = &reg.gauge("chain.max_raw." + b.name);
+      b.rms_raw = &reg.gauge("chain.rms_raw." + b.name);
+      b.peak_headroom_bits = &reg.gauge("chain.peak_headroom_bits." + b.name);
+      b.samples = &reg.counter("chain.samples." + b.name);
+    }
+    b.min_raw->set(static_cast<double>(st.min_raw));
+    b.max_raw->set(static_cast<double>(st.max_raw));
+    b.rms_raw->set(st.rms_raw);
+    b.peak_headroom_bits->set(st.peak_headroom_bits);
+    b.samples->add(samples.size());
   }
   if (probes != nullptr) {
     if (idx >= probes->size()) probes->resize(idx + 1);

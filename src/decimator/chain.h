@@ -26,6 +26,11 @@
 #include "src/filterdesign/saramaki.h"
 #include "src/obs/store/format.h"
 
+namespace dsadc::obs {
+class Counter;
+class Gauge;
+}  // namespace dsadc::obs
+
 namespace dsadc::decim {
 
 /// Everything needed to instantiate the chain; produced by the design flow
@@ -195,11 +200,19 @@ class DecimationChain {
   std::size_t group_delay_input_samples() const;
 
  private:
-  /// Name, clock rate and register width of one probe point.
+  /// Name, clock rate and register width of one probe point, plus its
+  /// chain.<metric>.<name> registry instruments. Those are resolved on the
+  /// first block recorded with observability on (registry instruments
+  /// never move), so an obs-off chain never touches the registry.
   struct Boundary {
     std::string name;
     double rate_hz = 0.0;
     int width_bits = 0;
+    obs::Gauge* min_raw = nullptr;
+    obs::Gauge* max_raw = nullptr;
+    obs::Gauge* rms_raw = nullptr;
+    obs::Gauge* peak_headroom_bits = nullptr;
+    obs::Counter* samples = nullptr;
   };
 
   /// Record boundary `idx` (0 = input, then one per ChainBank stage):

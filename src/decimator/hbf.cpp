@@ -37,6 +37,18 @@ HbfParams make_hbf_params(const design::SaramakiHbf& design, fx::Format in_fmt,
   if (p.internal_fmt.width > 62) {
     throw std::invalid_argument("SaramakiHbfDecimator: internal width > 62");
   }
+  // Use the CSD-quantized coefficient values from the design: the datapath
+  // must be bit-consistent with the shift-add network the RTL builds.
+  // from_real refuses a coefficient scale the int64 taps cannot hold, and
+  // its frac_bits range check must run before coeff_frac enters the int
+  // sum of the product requantizer below (a CFG1 frame can carry any i32).
+  std::vector<double> f2, f1;
+  for (const auto& c : design.f2_csd) f2.push_back(c.to_double());
+  for (const auto& c : design.f1_csd) f1.push_back(c.to_double());
+  p.f2_coeffs = FixedTaps::from_real(f2, p.coeff_frac).taps;
+  p.f1_coeffs = FixedTaps::from_real(f1, p.coeff_frac).taps;
+  const double half = 0.5;
+  p.half_coeff = FixedTaps::from_real({&half, 1}, p.coeff_frac).taps[0];
   p.rq_in = soa::Requant(in_fmt.frac, p.internal_fmt, fx::Rounding::kTruncate,
                          fx::event_counters("hbf_in"));
   p.rq_prod = soa::Requant(p.internal_fmt.frac + p.coeff_frac, p.prod_fmt,
@@ -48,16 +60,6 @@ HbfParams make_hbf_params(const design::SaramakiHbf& design, fx::Format in_fmt,
   p.rq_out = soa::Requant(p.prod_fmt.frac, out_fmt,
                           fx::Rounding::kRoundNearest,
                           fx::event_counters("hbf_out"));
-  // Use the CSD-quantized coefficient values from the design: the datapath
-  // must be bit-consistent with the shift-add network the RTL builds.
-  // from_real refuses a coefficient scale the int64 taps cannot hold.
-  std::vector<double> f2, f1;
-  for (const auto& c : design.f2_csd) f2.push_back(c.to_double());
-  for (const auto& c : design.f1_csd) f1.push_back(c.to_double());
-  p.f2_coeffs = FixedTaps::from_real(f2, p.coeff_frac).taps;
-  p.f1_coeffs = FixedTaps::from_real(f1, p.coeff_frac).taps;
-  const double half = 0.5;
-  p.half_coeff = FixedTaps::from_real({&half, 1}, p.coeff_frac).taps[0];
   // Each product is requantized on its own, so the int64 bound is per
   // product: a G2 tap multiplies a pre-added pair of internal-format
   // samples (one bit wider), an output tap one sample. The requantized

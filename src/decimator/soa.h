@@ -36,19 +36,20 @@ struct Requant {
   Requant() = default;
   Requant(int src_frac, const fx::Format& fmt, fx::Rounding rounding,
           const fx::EventCounters& counters)
-      : shift(src_frac - fmt.frac),
-        lo(fmt.raw_min()),
-        hi(fmt.raw_max()),
-        site(&counters) {
+      : shift(src_frac - fmt.frac), site(&counters) {
     // fx::requantize special-cases |shift| >= 63; no designed stage format
     // gets near it, so the block paths refuse. Stages build their Requants
     // at construction, so such a config is refused there, not per block.
+    // The width is checked before the saturation bounds are computed: for
+    // a width outside [1, 62], raw_min/raw_max are a bad shift or negation.
     if (fmt.width < 1 || fmt.width > 62) {
       throw std::invalid_argument("soa::Requant: width must be in [1, 62]");
     }
     if (shift >= 63 || shift <= -63) {
       throw std::invalid_argument("soa::Requant: shift out of range");
     }
+    lo = fmt.raw_min();
+    hi = fmt.raw_max();
     if (shift > 0) {
       drop_mask = (std::uint64_t{1} << shift) - 1;
       if (rounding == fx::Rounding::kRoundNearest) {

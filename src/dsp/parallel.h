@@ -1,6 +1,6 @@
 // Deterministic parallel fan-out, shared by the design flow (its two
 // branches, the HBF search's digit budgets, the verify chains) and the
-// verification harness (property cases, codegen sweeps).
+// verification harness (property cases).
 //
 // parallel_for_index runs a closure over [0, n) on a small worker pool,
 // claiming indices through a shared atomic so the mapping from index to

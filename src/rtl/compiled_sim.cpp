@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/obs/trace.h"
-#include "src/rtl/codegen.h"
 
 namespace dsadc::rtl {
 namespace {
@@ -42,8 +41,7 @@ inline std::int64_t wrap_shift(std::int64_t v, int shift) {
 
 }  // namespace
 
-CompiledSimulator::CompiledSimulator(const Module& module,
-                                     const CompiledSimOptions& options) {
+CompiledSimulator::CompiledSimulator(const Module& module) {
   const auto& nodes = module.nodes();
   node_count_ = nodes.size();
 
@@ -131,42 +129,6 @@ CompiledSimulator::CompiledSimulator(const Module& module,
         phase.captures.push_back({state_slot[i], tape[i].a});
       }
       if (node.kind != OpKind::kConst) phase.ops.push_back(tape[i]);
-    }
-  }
-
-  // Codegen backend: resolve the requested mode against the environment
-  // kill switch, then run emit -> compile -> load with tape fallback.
-  using Codegen = CompiledSimOptions::Codegen;
-  bool want = false;
-  switch (options.codegen) {
-    case Codegen::kOff:
-      want = false;
-      break;
-    case Codegen::kOn:
-      want = !codegen::disabled_by_env();
-      if (!want) engine_detail_ = "codegen disabled by DSADC_CODEGEN=off";
-      break;
-    case Codegen::kAuto:
-      want = codegen::enabled_by_env() && !codegen::disabled_by_env();
-      break;
-  }
-  if (want) {
-    const codegen::EmitResult emitted = codegen::emit_source(*this);
-    if (!emitted.error.empty()) {
-      engine_detail_ = "codegen refused: " + emitted.error;
-    } else {
-      codegen::BuildResult built = codegen::build_kernel(emitted.source);
-      if (built.kernel) {
-        kernel_ = std::move(built.kernel);
-        engine_ = SimEngine::kCodegen;
-        codegen_cache_hit_ = built.cache_hit;
-        codegen_so_path_ = std::move(built.so_path);
-        engine_detail_ = built.cache_hit ? "codegen cache hit"
-                         : built.evicted ? "codegen rebuilt (cache evicted)"
-                                         : "codegen compiled";
-      } else {
-        engine_detail_ = "codegen unavailable: " + built.detail;
-      }
     }
   }
 }
@@ -290,7 +252,6 @@ void CompiledSimulator::tick_loop(
 SimResult CompiledSimulator::run(
     const std::map<NodeId, std::span<const std::int64_t>>& inputs,
     const CompiledRunOptions& options) const {
-  if (kernel_) return run_codegen(inputs, options);
   DSADC_TRACE_SPAN("rtl_sim_compiled");
 
   // Bind streams to input cursors and derive the run length; the checks
@@ -347,69 +308,6 @@ SimResult CompiledSimulator::run(
   } else {
     tick_loop<false>(ticks, value, next_state, in_streams, in_cursor,
                      out_streams, nullptr);
-  }
-
-  for (std::size_t i = 0; i < output_nodes_.size(); ++i) {
-    result.outputs[output_nodes_[i]] = std::move(out_streams[i]);
-  }
-  return result;
-}
-
-SimResult CompiledSimulator::run_codegen(
-    const std::map<NodeId, std::span<const std::int64_t>>& inputs,
-    const CompiledRunOptions& options) const {
-  DSADC_TRACE_SPAN("rtl_sim_codegen");
-
-  // Identical binding and validation to the tape path.
-  std::vector<const std::int64_t*> in_ptrs(input_nodes_.size(), nullptr);
-  std::vector<bool> bound(input_nodes_.size(), false);
-  std::uint64_t ticks = ~std::uint64_t{0};
-  for (const auto& [id, stream] : inputs) {
-    std::size_t slot = input_nodes_.size();
-    for (std::size_t i = 0; i < input_nodes_.size(); ++i) {
-      if (input_nodes_[i] == id) slot = i;
-    }
-    if (slot == input_nodes_.size()) {
-      throw std::invalid_argument("Simulator: stream bound to non-input node");
-    }
-    in_ptrs[slot] = stream.data();
-    bound[slot] = true;
-    ticks = std::min<std::uint64_t>(
-        ticks,
-        stream.size() * static_cast<std::uint64_t>(input_clock_div_[slot]));
-  }
-  if (ticks == ~std::uint64_t{0}) {
-    throw std::invalid_argument("Simulator: no input streams");
-  }
-  for (std::size_t i = 0; i < input_nodes_.size(); ++i) {
-    if (ticks > 0 && !bound[i]) {
-      throw std::invalid_argument("Simulator: unbound input " +
-                                  input_names_[i]);
-    }
-  }
-
-  SimResult result;
-  result.activity.bit_toggles.assign(node_count_, 0);
-  result.activity.updates.assign(node_count_, 0);
-  result.activity.base_ticks = ticks;
-
-  // The kernel produces exactly ceil(ticks / clock_div) samples per
-  // output stream into pre-sized buffers (no push_back in the hot loop).
-  std::vector<std::vector<std::int64_t>> out_streams(output_nodes_.size());
-  std::vector<std::int64_t*> out_ptrs(output_nodes_.size(), nullptr);
-  for (std::size_t i = 0; i < output_nodes_.size(); ++i) {
-    const auto div = static_cast<std::uint64_t>(output_clock_div_[i]);
-    out_streams[i].resize(
-        ticks == 0 ? 0 : static_cast<std::size_t>((ticks + div - 1) / div));
-    out_ptrs[i] = out_streams[i].data();
-  }
-
-  if (options.activity) {
-    if (ticks > 0) fill_updates(ticks, &result.activity);
-    kernel_->run_activity()(ticks, in_ptrs.data(), out_ptrs.data(),
-                            result.activity.bit_toggles.data());
-  } else {
-    kernel_->run()(ticks, in_ptrs.data(), out_ptrs.data());
   }
 
   for (std::size_t i = 0; i < output_nodes_.size(); ++i) {

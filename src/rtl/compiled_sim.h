@@ -28,22 +28,15 @@
 //     and the activity tape only adds one popcount accumulate per op over
 //     the pure-dataflow path.
 //
-// On top of the tape interpreter sits an optional JIT codegen engine
-// (codegen.h): the per-phase tapes are emitted as straight-line C++ once
-// per netlist, compiled with the system compiler, cached by content hash
-// and dlopen'd. Construction falls back to the tape engine whenever
-// codegen is off, no compiler is available, or the emitter refuses the
-// netlist; engine() / engine_detail() report what happened. Both engines
-// are bit-identical to Simulator::run on every netlist -- outputs always,
-// and the Activity counters whenever activity mode is on. The interpreted
-// simulator stays as the reference model; tests/test_compiled_sim.cpp,
-// tests/test_codegen.cpp and the lint_rtl --sim-crosscheck gate hold the
-// engines together.
+// Every run is bit-identical to Simulator::run on every netlist --
+// outputs always, and the Activity counters whenever activity mode is on.
+// The interpreted simulator stays as the reference model;
+// tests/test_compiled_sim.cpp and the lint_rtl --sim-crosscheck gate hold
+// the two engines together.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -53,18 +46,6 @@
 
 namespace dsadc::rtl {
 
-class CompiledSimulator;
-
-namespace codegen {
-class CompiledKernel;
-struct EmitResult;
-/// Befriended accessor for the emitter (defined in codegen.cpp); keeps the
-/// tape internals out of the public surface.
-struct EmitAccess;
-/// Render the elaborated tape as a self-contained C++ translation unit.
-EmitResult emit_source(const CompiledSimulator& sim);
-}  // namespace codegen
-
 /// Run-time knobs for a compiled run.
 struct CompiledRunOptions {
   /// Record per-node toggle/update counts (exact match with the
@@ -73,31 +54,12 @@ struct CompiledRunOptions {
   bool activity = false;
 };
 
-/// Which backend a CompiledSimulator ended up with.
-enum class SimEngine {
-  kTape,     ///< flat-tape switch-dispatch interpreter (always available)
-  kCodegen,  ///< dlopen'd straight-line C++ kernel (codegen.h)
-};
-
-/// Construction-time knobs.
-struct CompiledSimOptions {
-  enum class Codegen {
-    kAuto,  ///< follow DSADC_CODEGEN (off unless the env says on)
-    kOff,   ///< tape engine only
-    kOn,    ///< request codegen (DSADC_CODEGEN=off still vetoes; any
-            ///< toolchain failure falls back to the tape engine)
-  };
-  Codegen codegen = Codegen::kAuto;
-};
-
 class CompiledSimulator {
  public:
-  /// Elaborates the module into phase schedules and the op tape, then
-  /// (when requested) builds the codegen kernel. The module must stay
-  /// alive no longer than needed for construction; the compiled form is
-  /// self-contained afterwards.
-  explicit CompiledSimulator(const Module& module,
-                             const CompiledSimOptions& options = {});
+  /// Elaborates the module into phase schedules and the op tape. The
+  /// module must stay alive no longer than needed for construction; the
+  /// compiled form is self-contained afterwards.
+  explicit CompiledSimulator(const Module& module);
 
   /// Drive the module exactly like Simulator::run: as many base ticks as
   /// the input streams allow, one sample consumed per domain tick of each
@@ -113,22 +75,7 @@ class CompiledSimulator {
   /// equivalent cost is nodes * period.
   std::size_t scheduled_ops_per_period() const;
 
-  /// Selected backend; kTape unless codegen was requested and the whole
-  /// emit/compile/load pipeline succeeded.
-  SimEngine engine() const { return engine_; }
-  /// Why the engine is what it is: the fallback reason for kTape after a
-  /// codegen attempt, empty for a plain tape construction.
-  const std::string& engine_detail() const { return engine_detail_; }
-  /// kCodegen only: the kernel came straight out of the content-hash
-  /// cache (no compiler run).
-  bool codegen_cache_hit() const { return codegen_cache_hit_; }
-  /// kCodegen only: path of the cached shared object (tests corrupt it to
-  /// exercise eviction).
-  const std::string& codegen_so_path() const { return codegen_so_path_; }
-
  private:
-  friend struct codegen::EmitAccess;
-
   /// One op on the tape, pre-resolved for the phase loops. Kept flat and
   /// index-based so the per-phase lists walk contiguous memory.
   struct Op {
@@ -183,10 +130,6 @@ class CompiledSimulator {
   /// ceil(ticks / d) of the first `ticks` base ticks.
   void fill_updates(std::uint64_t ticks, Activity* activity) const;
 
-  SimResult run_codegen(
-      const std::map<NodeId, std::span<const std::int64_t>>& inputs,
-      const CompiledRunOptions& options) const;
-
   std::size_t node_count_ = 0;
   int period_ = 1;
   std::vector<Phase> phases_;
@@ -201,13 +144,6 @@ class CompiledSimulator {
   std::vector<int> output_clock_div_;
   std::vector<int> node_clock_div_;         ///< per node (analytic updates)
   std::size_t state_count_ = 0;             ///< kReg/kDecimate slots
-
-  // Codegen backend state (kTape constructions leave all of it empty).
-  std::shared_ptr<codegen::CompiledKernel> kernel_;
-  SimEngine engine_ = SimEngine::kTape;
-  std::string engine_detail_;
-  std::string codegen_so_path_;
-  bool codegen_cache_hit_ = false;
 };
 
 }  // namespace dsadc::rtl

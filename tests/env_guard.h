@@ -1,6 +1,5 @@
 // Scoped environment override for tests that re-size code paths through
-// environment variables read per call (DSADC_VERIFY_THREADS,
-// DSADC_CODEGEN_CACHE_DIR, ...).
+// environment variables read per call (DSADC_VERIFY_THREADS, ...).
 #pragma once
 
 #include <cstdlib>

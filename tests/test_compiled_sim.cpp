@@ -6,7 +6,8 @@
 // toggle/update counts in activity mode. Coverage here is three-layered:
 //
 //   * direct semantics checks on small hand-built modules (multi-rate
-//     phases, feedback registers, non-power-of-two periods);
+//     phases, feedback registers, constant-fed registers at tick 0,
+//     non-power-of-two periods);
 //   * every paper-chain stage netlist plus the flattened full chain,
 //     driven by all 9 property-stimulus classes;
 //   * randomized fuzz configurations (DSADC_FUZZ_SEED-style seeds) over
@@ -104,6 +105,21 @@ TEST(CompiledSim, MatchesInterpreterOnRequantShiftNegConst) {
   m.output("y", q);
   m.output("raw", m.shr(n, 2));
   expect_engines_agree(m, in, iota_stimulus(80, -2048, 2047), "ops");
+}
+
+TEST(CompiledSim, MatchesInterpreterOnRegOfConstAtTickZero) {
+  // Registers fed by a constant pin the t == 0 ordering: the first
+  // capture reads the pre-commit (zero) value, and the constant commits
+  // only after that tick's captures, so the first two samples differ from
+  // the steady state.
+  Module m("regconst");
+  const NodeId in = m.input("in", 4);
+  const NodeId c = m.constant(21, 8, 1);
+  const NodeId r1 = m.reg(c);
+  const NodeId r2 = m.reg(r1);
+  const NodeId s = m.add(m.add(in, r1, 9), r2, 10);
+  m.output("y", s);
+  expect_engines_agree(m, in, iota_stimulus(40, -8, 7), "reg-of-const");
 }
 
 TEST(CompiledSim, ErrorsMatchInterpreter) {

@@ -84,6 +84,65 @@ class ServiceTest : public ::testing::Test {
     }
     return o;
   }
+
+  /// Send each of `bad` on OPEN (channels 10, 11, ...) and as a CONFIG of
+  /// a serving session, with data blocks in between. Every one must get an
+  /// ERROR frame; the serving session keeps its old chain, so its output
+  /// must equal one DecimationChain(paper config) over all the blocks.
+  void expect_refused_while_serving(
+      const char* name, const std::vector<decim::ChainConfig>& bad,
+      std::uint32_t seed) {
+    service::Server server(test_options(name));
+    server.start();
+    auto client = service::Client::connect_unix(server.unix_path());
+
+    const decim::ChainConfig cfg = decim::paper_chain_config();
+    std::mt19937_64 rng(fuzz_seed(seed));
+    std::vector<std::vector<std::int32_t>> parts;
+    for (std::size_t i = 0; i <= bad.size(); ++i) {
+      parts.push_back(
+          stimulus_codes(verify::StimulusClass::kModulator, 1024, rng));
+    }
+    decim::DecimationChain ref(cfg);
+    std::vector<std::int64_t> expect;
+    for (const auto& part : parts) {
+      const auto out = ref.process(part);
+      expect.insert(expect.end(), out.begin(), out.end());
+    }
+
+    const std::uint32_t good = 3;
+    ASSERT_TRUE(client->open_config(good, cfg));
+    ASSERT_TRUE(client->wait_ack_count(good, 1, kWait)) << "OPEN not acked";
+    ASSERT_TRUE(client->send_data(good, parts[0]));
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      const auto refused = static_cast<std::uint32_t>(10 + i);
+      ASSERT_TRUE(client->open_config(refused, bad[i]));
+      ASSERT_TRUE(client->reconfigure_config(good, bad[i]));
+      ASSERT_TRUE(client->send_data(good, parts[i + 1]));
+    }
+    ASSERT_TRUE(client->wait_sample_count(good, expect.size(), kWait));
+    EXPECT_EQ(client->samples(good), expect);
+
+    // One ERROR per refused OPEN and one per refused CONFIG.
+    const std::size_t want_errors = 2 * bad.size();
+    const auto deadline = std::chrono::steady_clock::now() + kWait;
+    while (client->errors().size() < want_errors &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    std::map<std::uint32_t, std::size_t> errors_by_channel;
+    for (const auto& [ch, code] : client->errors()) {
+      EXPECT_EQ(code, service::ErrorCode::kInternal) << "channel " << ch;
+      ++errors_by_channel[ch];
+    }
+    EXPECT_EQ(errors_by_channel[good], bad.size());
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      EXPECT_EQ(errors_by_channel[static_cast<std::uint32_t>(10 + i)], 1u)
+          << "config " << i;
+    }
+    client.reset();
+    server.stop();
+  }
 };
 
 // --- wire protocol -------------------------------------------------------
@@ -770,63 +829,32 @@ TEST_F(ServiceTest, MacOverflowConfigsRefusedAndSessionKeepsServing) {
   // them at construction, from the formats' worst-case widths: a CONFIG
   // carrying one gets an ERROR frame and its session keeps serving on its
   // old chain; an OPEN carrying one gets an ERROR frame and leaves no
-  // session.
-  service::Server server(test_options("mac_overflow"));
-  server.start();
-  auto client = service::Client::connect_unix(server.unix_path());
-
+  // session. INT32_MAX HBF coefficient frac bits would overflow the int
+  // frac sum of the HBF product requantizer; the tap range check refuses
+  // them first.
   const decim::ChainConfig cfg = decim::paper_chain_config();
-  std::vector<decim::ChainConfig> bad(5, cfg);
+  std::vector<decim::ChainConfig> bad(6, cfg);
   bad[0].equalizer_taps[7] = std::numeric_limits<double>::quiet_NaN();
   for (double& t : bad[1].equalizer_taps) t *= 1e12;
   bad[2].equalizer_frac_bits = 60;
   bad[3].hbf_coeff_frac_bits = 55;
   bad[4].hbf_coeff_frac_bits = 62;
-  std::mt19937_64 rng(fuzz_seed(67));
-  std::vector<std::vector<std::int32_t>> parts;
-  for (std::size_t i = 0; i <= bad.size(); ++i) {
-    parts.push_back(
-        stimulus_codes(verify::StimulusClass::kModulator, 1024, rng));
-  }
-  decim::DecimationChain ref(cfg);
-  std::vector<std::int64_t> expect;
-  for (const auto& part : parts) {
-    const auto out = ref.process(part);
-    expect.insert(expect.end(), out.begin(), out.end());
-  }
+  bad[5].hbf_coeff_frac_bits = std::numeric_limits<std::int32_t>::max();
+  expect_refused_while_serving("mac_overflow", bad, 67);
+}
 
-  const std::uint32_t good = 3;
-  ASSERT_TRUE(client->open_config(good, cfg));
-  ASSERT_TRUE(client->wait_ack_count(good, 1, kWait)) << "OPEN not acked";
-  ASSERT_TRUE(client->send_data(good, parts[0]));
-  for (std::size_t i = 0; i < bad.size(); ++i) {
-    const auto refused = static_cast<std::uint32_t>(10 + i);
-    ASSERT_TRUE(client->open_config(refused, bad[i]));
-    ASSERT_TRUE(client->reconfigure_config(good, bad[i]));
-    ASSERT_TRUE(client->send_data(good, parts[i + 1]));
-  }
-  ASSERT_TRUE(client->wait_sample_count(good, expect.size(), kWait));
-  EXPECT_EQ(client->samples(good), expect);
-
-  // One ERROR per refused OPEN and one per refused CONFIG.
-  const std::size_t want_errors = 2 * bad.size();
-  const auto deadline = std::chrono::steady_clock::now() + kWait;
-  while (client->errors().size() < want_errors &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  std::map<std::uint32_t, std::size_t> errors_by_channel;
-  for (const auto& [ch, code] : client->errors()) {
-    EXPECT_EQ(code, service::ErrorCode::kInternal) << "channel " << ch;
-    ++errors_by_channel[ch];
-  }
-  EXPECT_EQ(errors_by_channel[good], bad.size());
-  for (std::size_t i = 0; i < bad.size(); ++i) {
-    EXPECT_EQ(errors_by_channel[static_cast<std::uint32_t>(10 + i)], 1u)
-        << "config " << i;
-  }
-  client.reset();
-  server.stop();
+TEST_F(ServiceTest, FormatWidthConfigsRefusedAndSessionKeepsServing) {
+  // Stage formats whose width is outside [1, 62]: the saturation bounds
+  // 2^(width-1) would be a bad shift or negation. soa::Requant checks the
+  // width before it computes the bounds, so each stage refuses the config
+  // at construction with an ERROR frame instead of reaching the UB.
+  const decim::ChainConfig cfg = decim::paper_chain_config();
+  std::vector<decim::ChainConfig> bad(4, cfg);
+  bad[0].hbf_in_format.width = 64;
+  bad[1].hbf_out_format.width = 0;
+  bad[2].scaler_out_format.width = 80;
+  bad[3].output_format.width = -3;
+  expect_refused_while_serving("format_width", bad, 73);
 }
 
 TEST_F(ServiceTest, LockstepCohortServesBitExactOverWire) {

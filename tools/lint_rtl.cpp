@@ -2,7 +2,6 @@
 //
 //   lint_rtl [--json FILE] [--baseline FILE] [--suppress PATTERN]...
 //            [--module NAME] [--quiet] [--sim-crosscheck]
-//            [--require-codegen]
 //            [--optimize] [--proof-dump FILE]
 //            [--opt-baseline FILE] [--write-opt-baseline FILE]
 //
@@ -13,14 +12,11 @@
 // filterdesign Bmax formula (K*log2(M) + Bin - 1) and the widths the
 // builders actually synthesized.
 //
-// --sim-crosscheck additionally runs every linted module through all
-// simulation engines (interpreted reference, compiled op tape, and --
-// when a toolchain is available -- the JIT codegen kernel) on a
-// deterministic stimulus and demands bit-identical output streams and
-// activity counters -- the dynamic counterpart of the static width
-// proofs, and CI's engine-equivalence gate. --require-codegen turns a
-// tape fallback into a failure so the codegen CI lane cannot silently
-// lose its subject.
+// --sim-crosscheck additionally runs every linted module through both
+// simulation engines (the interpreted reference and the compiled op tape)
+// on a deterministic stimulus and demands bit-identical output streams
+// and activity counters -- the dynamic counterpart of the static width
+// proofs, and CI's engine-equivalence gate.
 //
 // --optimize runs the proof-carrying netlist optimizer (src/analyze/opt)
 // on every linted module, re-checks each proof bundle with the independent
@@ -87,8 +83,7 @@ int max_state_width(const dsadc::rtl::Module& m) {
 struct SimCheck {
   std::string module;
   bool ok = false;
-  std::string engines;  ///< engines exercised, e.g. "interp/tape/codegen"
-  std::string detail;   ///< first divergence, empty when ok
+  std::string detail;  ///< first divergence, empty when ok
 };
 
 /// xorshift64 stimulus masked to the input width: deterministic, full
@@ -106,38 +101,33 @@ std::vector<std::int64_t> make_stimulus(int width, std::size_t samples) {
   return stim;
 }
 
-/// Compare one engine's run against the interpreter reference; empty
-/// string when bit-identical (outputs, tick counts, activity counters).
+/// Compare the tape engine's run against the interpreter reference;
+/// empty string when bit-identical (outputs, tick counts, activity
+/// counters).
 std::string diff_runs(const dsadc::rtl::SimResult& ref,
-                      const dsadc::rtl::SimResult& got,
-                      const char* engine) {
+                      const dsadc::rtl::SimResult& got) {
   std::ostringstream os;
   if (got.outputs != ref.outputs) {
-    os << engine << ": output streams diverge";
+    os << "output streams diverge";
   } else if (got.activity.base_ticks != ref.activity.base_ticks) {
-    os << engine << ": base_ticks " << got.activity.base_ticks << " vs "
+    os << "base_ticks " << got.activity.base_ticks << " vs "
        << ref.activity.base_ticks;
   } else if (got.activity.updates != ref.activity.updates) {
-    os << engine << ": per-node update counts diverge";
+    os << "per-node update counts diverge";
   } else if (got.activity.bit_toggles != ref.activity.bit_toggles) {
-    os << engine << ": per-node toggle counts diverge";
+    os << "per-node toggle counts diverge";
   }
   return os.str();
 }
 
-/// Run `m` through every simulation engine on a deterministic full-range
-/// stimulus; outputs, tick counts, and activity counters must all be
-/// bit-identical to the interpreter. The tape engine is always checked;
-/// the codegen engine joins the comparison when it can be built (and is
-/// mandatory under --require-codegen, so a CI lane that expects the JIT
-/// cannot silently fall back to the tape).
+/// Run `m` through both simulation engines on a deterministic full-range
+/// stimulus; outputs, tick counts, and activity counters of the tape run
+/// must all be bit-identical to the interpreter's.
 SimCheck sim_crosscheck_module(const dsadc::rtl::Module& m,
-                               dsadc::rtl::NodeId in, const std::string& name,
-                               bool require_codegen) {
-  using Codegen = dsadc::rtl::CompiledSimOptions::Codegen;
+                               dsadc::rtl::NodeId in,
+                               const std::string& name) {
   SimCheck check;
   check.module = name;
-  check.engines = "interp/tape";
 
   const auto& node = m.nodes()[static_cast<std::size_t>(in)];
   const std::vector<std::int64_t> stim = make_stimulus(node.width, 512);
@@ -145,20 +135,8 @@ SimCheck sim_crosscheck_module(const dsadc::rtl::Module& m,
   dsadc::rtl::Simulator interp(m);
   const auto ref = interp.run({{in, stim}});
 
-  dsadc::rtl::CompiledSimulator tape(m, {.codegen = Codegen::kOff});
-  check.detail =
-      diff_runs(ref, tape.run({{in, stim}}, {.activity = true}), "tape");
-
-  if (check.detail.empty()) {
-    dsadc::rtl::CompiledSimulator cg(m, {.codegen = Codegen::kOn});
-    if (cg.engine() == dsadc::rtl::SimEngine::kCodegen) {
-      check.engines += "/codegen";
-      check.detail =
-          diff_runs(ref, cg.run({{in, stim}}, {.activity = true}), "codegen");
-    } else if (require_codegen) {
-      check.detail = "codegen engine unavailable: " + cg.engine_detail();
-    }
-  }
+  const dsadc::rtl::CompiledSimulator tape(m);
+  check.detail = diff_runs(ref, tape.run({{in, stim}}, {.activity = true}));
   check.ok = check.detail.empty();
   return check;
 }
@@ -231,7 +209,6 @@ int main(int argc, char** argv) {
   std::string write_opt_baseline_path;
   bool quiet = false;
   bool sim_crosscheck = false;
-  bool require_codegen = false;
   bool optimize_modules = false;
   LintOptions options;
 
@@ -256,8 +233,6 @@ int main(int argc, char** argv) {
       quiet = true;
     } else if (arg == "--sim-crosscheck") {
       sim_crosscheck = true;
-    } else if (arg == "--require-codegen") {
-      require_codegen = true;
     } else if (arg == "--optimize") {
       optimize_modules = true;
     } else if (arg == "--proof-dump") {
@@ -273,7 +248,7 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: lint_rtl [--json FILE] [--baseline FILE]\n"
           "                [--suppress PATTERN]... [--module NAME] "
-          "[--quiet] [--sim-crosscheck] [--require-codegen]\n"
+          "[--quiet] [--sim-crosscheck]\n"
           "                [--optimize] [--proof-dump FILE]\n"
           "                [--opt-baseline FILE] [--write-opt-baseline "
           "FILE]\n");
@@ -348,9 +323,8 @@ int main(int argc, char** argv) {
     std::vector<SimCheck> sim_checks;
     if (sim_crosscheck) {
       for (std::size_t r = 0; r < reports.size(); ++r) {
-        sim_checks.push_back(
-            sim_crosscheck_module(*modules[r], input_of[r], reports[r].module,
-                                  require_codegen));
+        sim_checks.push_back(sim_crosscheck_module(*modules[r], input_of[r],
+                                                   reports[r].module));
         sim_check_ok = sim_check_ok && sim_checks.back().ok;
       }
     }
@@ -387,7 +361,6 @@ int main(int argc, char** argv) {
         Json jc = Json::object();
         jc["module"] = Json{c.module};
         jc["ok"] = Json{c.ok};
-        jc["engines"] = Json{c.engines};
         if (!c.ok) jc["detail"] = Json{c.detail};
         jsims.push_back(std::move(jc));
       }
@@ -531,8 +504,8 @@ int main(int argc, char** argv) {
                     c.ok ? "OK" : "MISMATCH");
       }
       for (const SimCheck& c : sim_checks) {
-        std::printf("sim-crosscheck %s (%s): %s%s%s\n", c.module.c_str(),
-                    c.engines.c_str(), c.ok ? "OK" : "FAILED",
+        std::printf("sim-crosscheck %s (interp/tape): %s%s%s\n",
+                    c.module.c_str(), c.ok ? "OK" : "FAILED",
                     c.ok ? "" : " -- ", c.detail.c_str());
       }
       for (const OptCheck& c : opt_checks) {
