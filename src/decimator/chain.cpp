@@ -163,6 +163,11 @@ ChainBank::ChainBank(const ChainConfig& config, std::size_t lanes)
   if (config.cic_stages.empty()) {
     throw std::invalid_argument("ChainBank: no CIC stages");
   }
+  // No requantizer reads the input format, so it gets the stage formats'
+  // width rule here: outside [1, 62] it describes no code stream.
+  if (config.input_format.width < 1 || config.input_format.width > 62) {
+    throw std::invalid_argument("ChainBank: input width must be in [1, 62]");
+  }
   cic_.reserve(config.cic_stages.size());
   for (const auto& spec : config.cic_stages) {
     cic_.emplace_back(spec, lanes);

@@ -140,31 +140,6 @@ bool send_all(int fd, const std::uint8_t* data, std::size_t n) {
   return true;
 }
 
-bool writev_all(int fd, struct iovec* iov, int iovcnt) {
-  int first = 0;
-  while (first < iovcnt) {
-    msghdr msg{};
-    msg.msg_iov = iov + first;
-    msg.msg_iovlen = static_cast<std::size_t>(iovcnt - first);
-    const auto sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    std::size_t left = static_cast<std::size_t>(sent);
-    while (first < iovcnt && left >= iov[first].iov_len) {
-      left -= iov[first].iov_len;
-      ++first;
-    }
-    if (first < iovcnt && left > 0) {
-      iov[first].iov_base = static_cast<std::uint8_t*>(iov[first].iov_base) +
-                            left;
-      iov[first].iov_len -= left;
-    }
-  }
-  return true;
-}
-
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;

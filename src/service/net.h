@@ -5,8 +5,6 @@
 // authentication layer.
 #pragma once
 
-#include <sys/uio.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -31,12 +29,6 @@ bool send_all(int fd, const std::uint8_t* data, std::size_t n);
 /// One recv() call (EINTR retried): >0 bytes, 0 on orderly shutdown,
 /// -1 on error.
 long recv_some(int fd, std::uint8_t* buf, std::size_t n);
-
-/// Gather-write the whole iovec array (blocking fd; EINTR retried and
-/// partial writes resumed -- `iov` is adjusted in place). False on error.
-/// The scatter half of the zero-copy frame path: header and payload go
-/// to the socket as two iovecs instead of being glued into one buffer.
-bool writev_all(int fd, struct iovec* iov, int iovcnt);
 
 /// O_NONBLOCK on. False on fcntl failure.
 bool set_nonblocking(int fd);

@@ -1,12 +1,10 @@
 #include "src/service/server.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#ifdef __linux__
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#endif
+#include <sys/socket.h>
+#include <sys/uio.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -105,13 +103,6 @@ ServerOptions options_from_env() {
   o.queue_capacity = env_size("DSADC_SERVICE_QUEUE_CAP", o.queue_capacity);
   o.out_queue_capacity =
       env_size("DSADC_SERVICE_OUT_CAP", o.out_queue_capacity);
-  if (const char* io = std::getenv("DSADC_SERVICE_IO")) {
-    if (std::strcmp(io, "threads") == 0) {
-      o.io = IoBackend::kThreads;
-    } else if (std::strcmp(io, "epoll") == 0) {
-      o.io = IoBackend::kEpoll;
-    }
-  }
   o.event_threads = env_size("DSADC_SERVICE_EVENT_THREADS", o.event_threads);
   if (const char* v = std::getenv("DSADC_SERVICE_BATCH_LINGER_US")) {
     o.batch_linger_us = std::strtol(v, nullptr, 10);
@@ -120,39 +111,32 @@ ServerOptions options_from_env() {
 }
 
 struct Server::Connection {
-  Connection(int fd_, std::uint64_t id_, std::size_t out_cap, bool epoll_)
-      : fd(fd_), id(id_), epoll(epoll_), out(epoll_ ? 2 : out_cap) {}
+  Connection(int fd_, std::uint64_t id_, EventThread* owner_)
+      : fd(fd_), id(id_), owner(owner_) {}
 
   int fd;
   std::uint64_t id;
-  const bool epoll;
-  /// Sealed server->client frames awaiting the writer (threads backend).
-  /// Producers: the worker-pool callbacks plus the reader.
-  runtime::MpmcRing<OutFrame> out;
+  EventThread* const owner;  ///< pinned event thread (id % N)
   std::atomic<bool> dead{false};        ///< socket send failed; discard
   std::atomic<std::size_t> jobs{0};     ///< submitted, callback not done
-  std::atomic<bool> reader_done{false};
-  /// Every response is flushed and no thread touches the connection
-  /// again (the threads backend's writer exited, or the event thread
-  /// finalized it): the next accept reaps it.
+  /// EOF/protocol error seen and the sessions closed; no more input.
+  std::atomic<bool> input_done{false};
+  /// Every response is flushed and the event thread finalized the
+  /// connection: the next accept reaps it.
   std::atomic<bool> retired{false};
-  std::thread reader;  ///< threads backend
-  std::thread writer;  ///< threads backend
 
-  /// Receive buffer the zero-copy scan runs over; owned by the reader
-  /// thread (threads backend) or the pinned event thread (epoll backend).
-  /// FrameView payloads borrow [0, in_len) until the post-scan compaction.
+  /// Receive buffer the zero-copy scan runs over, owned by the event
+  /// thread. FrameView payloads borrow [0, in_len) until the post-scan
+  /// compaction.
   std::vector<std::uint8_t> in_buf;
   std::size_t in_len = 0;
 
-  // Reader/event-thread-only session bookkeeping.
+  // Event-thread-only session bookkeeping.
   std::unordered_map<std::uint32_t, std::uint32_t> next_seq;
   std::unordered_set<std::uint32_t> opened;
 
-  // --- epoll backend state ---
-  EventThread* owner = nullptr;  ///< pinned event thread (id % N)
-  /// Output queue; shared with worker callbacks (unlike the ring above,
-  /// unbounded under kBlock -- input pausing bounds it end to end).
+  /// Output queue; shared with worker callbacks. Unbounded under kBlock
+  /// -- input pausing bounds it end to end.
   std::mutex out_mu;
   std::deque<OutFrame> outq;
   /// Collapses duplicate entries in the owner's flush queue.
@@ -161,7 +145,6 @@ struct Server::Connection {
   // Event-thread-only I/O state.
   bool writable = false;   ///< last EPOLLOUT edge not yet consumed by EAGAIN
   bool stalled = false;    ///< input paused: output queue over the cap
-  bool input_done = false; ///< EOF/protocol error seen; stop reading
   bool finalized = false;  ///< deregistered from epoll
   OutFrame wip;            ///< frame partially written to the socket
   std::size_t wip_off = 0;
@@ -170,18 +153,8 @@ struct Server::Connection {
   std::uint64_t key(std::uint32_t channel) const {
     return (id << 32) | channel;
   }
-
-  /// Close the output ring once the reader finished and every inflight
-  /// job's callback ran; the writer exits after draining it.
-  void maybe_close_out() {
-    if (reader_done.load(std::memory_order_acquire) &&
-        jobs.load(std::memory_order_acquire) == 0) {
-      out.close();
-    }
-  }
 };
 
-#ifdef __linux__
 /// One edge-triggered epoll loop plus its wake channel. Connections are
 /// pinned to an event thread by id, so all of a connection's parse and
 /// I/O state is single-threaded; only the flush queue and the output
@@ -205,14 +178,8 @@ struct Server::EventThread {
     (void)!::write(wake_fd, &one, sizeof(one));
   }
 };
-#else
-struct Server::EventThread {};
-#endif
 
 Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
-#ifndef __linux__
-  opts_.io = IoBackend::kThreads;  // epoll is Linux-only
-#endif
   if (opts_.event_threads == 0) opts_.event_threads = 1;
   runtime::SessionRuntime::Options ro;
   ro.shards = opts_.shards;
@@ -247,24 +214,20 @@ void Server::start() {
     throw std::runtime_error(
         "service: no listener configured (set unix_path and/or tcp)");
   }
-#ifdef __linux__
-  if (opts_.io == IoBackend::kEpoll) {
-    for (std::size_t i = 0; i < opts_.event_threads; ++i) {
-      auto et = std::make_unique<EventThread>();
-      et->ep = ::epoll_create1(0);
-      et->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-      if (et->ep < 0 || et->wake_fd < 0) {
-        throw std::runtime_error("service: epoll/eventfd setup failed");
-      }
-      epoll_event ev{};
-      ev.events = EPOLLIN;  // level-triggered wake channel
-      ev.data.ptr = nullptr;
-      ::epoll_ctl(et->ep, EPOLL_CTL_ADD, et->wake_fd, &ev);
-      et->th = std::thread([this, p = et.get()] { event_loop(*p); });
-      events_.push_back(std::move(et));
+  for (std::size_t i = 0; i < opts_.event_threads; ++i) {
+    auto et = std::make_unique<EventThread>();
+    et->ep = ::epoll_create1(0);
+    et->wake_fd = ::eventfd(0, EFD_NONBLOCK);
+    if (et->ep < 0 || et->wake_fd < 0) {
+      throw std::runtime_error("service: epoll/eventfd setup failed");
     }
+    epoll_event ev{};
+    ev.events = EPOLLIN;  // level-triggered wake channel
+    ev.data.ptr = nullptr;
+    ::epoll_ctl(et->ep, EPOLL_CTL_ADD, et->wake_fd, &ev);
+    et->th = std::thread([this, p = et.get()] { event_loop(*p); });
+    events_.push_back(std::move(et));
   }
-#endif
   accept_threads_.reserve(listen_fds_.size());
   for (const int fd : listen_fds_) {
     accept_threads_.emplace_back([this, fd] { accept_loop(fd); });
@@ -291,55 +254,31 @@ void Server::accept_loop(int listen_fd) {
 void Server::reap_retired_locked() {
   std::erase_if(conns_, [](const std::shared_ptr<Connection>& c) {
     if (!c->retired.load(std::memory_order_acquire)) return false;
-    if (c->reader.joinable()) c->reader.join();
-    if (c->writer.joinable()) c->writer.join();
     ::close(c->fd);
     return true;
   });
 }
 
 void Server::spawn_connection(int fd) {
-  const bool epoll_mode = !events_.empty();
-  auto conn = std::make_shared<Connection>(
-      fd, next_conn_id_.fetch_add(1), opts_.out_queue_capacity, epoll_mode);
-  if (epoll_mode) {
-#ifdef __linux__
-    net::set_nonblocking(fd);
-    auto& et = *events_[conn->id % events_.size()];
-    conn->owner = &et;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      reap_retired_locked();
-      conns_.push_back(conn);
-    }
-    {
-      std::lock_guard<std::mutex> lock(et.mu);
-      et.fresh.push_back(std::move(conn));
-    }
-    et.wake();
-#endif
-    return;
+  net::set_nonblocking(fd);
+  const std::uint64_t id = next_conn_id_.fetch_add(1);
+  auto& et = *events_[id % events_.size()];
+  auto conn = std::make_shared<Connection>(fd, id, &et);
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    reap_retired_locked();
+    conns_.push_back(conn);
   }
-  conn->reader = std::thread([this, conn] { reader_loop(conn); });
-  conn->writer = std::thread([this, conn] { writer_loop(conn); });
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  reap_retired_locked();
-  conns_.push_back(std::move(conn));
+  {
+    std::lock_guard<std::mutex> lock(et.mu);
+    et.fresh.push_back(std::move(conn));
+  }
+  et.wake();
 }
 
 void Server::conn_send(const std::shared_ptr<Connection>& conn,
                        OutFrame&& f) {
   if (conn->dead.load(std::memory_order_relaxed)) return;
-  if (!conn->epoll) {
-    if (opts_.policy == runtime::SessionRuntime::Overload::kShed) {
-      if (!conn->out.try_push(f)) count_service("shed_out");
-    } else {
-      // Blocking: backpressure onto the producing worker. Returns false
-      // only when the ring was closed during teardown; the frame is moot.
-      (void)conn->out.push(std::move(f));
-    }
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
     if (opts_.policy == runtime::SessionRuntime::Overload::kShed &&
@@ -353,29 +292,20 @@ void Server::conn_send(const std::shared_ptr<Connection>& conn,
 }
 
 void Server::schedule_flush(const std::shared_ptr<Connection>& conn) {
-#ifdef __linux__
-  auto* et = conn->owner;
-  if (et == nullptr) return;
   if (conn->flush_queued.exchange(true, std::memory_order_acq_rel)) return;
+  auto* et = conn->owner;
   {
     std::lock_guard<std::mutex> lock(et->mu);
     et->flush.push_back(conn);
   }
   et->wake();
-#else
-  (void)conn;
-#endif
 }
 
 void Server::finish_job(const std::shared_ptr<Connection>& conn) {
   conn->jobs.fetch_sub(1, std::memory_order_acq_rel);
-  if (conn->epoll) {
-    // Revisit the connection so the event thread can finalize it once the
-    // last callback has run (output drained + reader done).
-    schedule_flush(conn);
-  } else {
-    conn->maybe_close_out();
-  }
+  // Revisit the connection so the event thread can finalize it once the
+  // last callback has run (output drained + input done).
+  schedule_flush(conn);
 }
 
 std::shared_ptr<const decim::ChainConfig> Server::resolve_config(
@@ -592,7 +522,7 @@ bool Server::process_input(const std::shared_ptr<Connection>& conn) {
 
 void Server::teardown(const std::shared_ptr<Connection>& conn) {
   // Close every session this connection opened so a vanished client never
-  // leaks chain state; results are discarded (the ring is about to close).
+  // leaks chain state; results are discarded.
   for (const std::uint32_t ch : conn->opened) {
     SessionJob job;
     job.session = conn->key(ch);
@@ -600,53 +530,13 @@ void Server::teardown(const std::shared_ptr<Connection>& conn) {
     (void)runtime_->submit(std::move(job));
   }
   conn->opened.clear();
-  conn->reader_done.store(true, std::memory_order_release);
-  if (!conn->epoll) conn->maybe_close_out();
+  conn->input_done.store(true, std::memory_order_release);
 }
-
-void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
-  conn->in_buf.resize(kRecvBufInitial);
-  bool protocol_error = false;
-  for (;;) {
-    const long n = net::recv_some(conn->fd, conn->in_buf.data() + conn->in_len,
-                                  conn->in_buf.size() - conn->in_len);
-    if (n <= 0) break;
-    conn->in_len += static_cast<std::size_t>(n);
-    if (!process_input(conn)) {
-      protocol_error = true;
-      break;
-    }
-  }
-  if (protocol_error) ::shutdown(conn->fd, SHUT_RD);
-  teardown(conn);
-}
-
-void Server::writer_loop(const std::shared_ptr<Connection>& conn) {
-  OutFrame f;
-  while (conn->out.pop(f)) {
-    if (conn->dead.load(std::memory_order_relaxed)) continue;  // discard
-    iovec iov[2];
-    iov[0] = {f.header.data(), kHeaderBytes};
-    int cnt = 1;
-    if (!f.payload.empty()) {
-      iov[cnt++] = {f.payload.data(), f.payload.size()};
-    }
-    if (!net::writev_all(conn->fd, iov, cnt)) {
-      conn->dead.store(true, std::memory_order_relaxed);
-    }
-  }
-  // Ring closed: every response is flushed. Signal EOF so the client
-  // observes the teardown without waiting for server stop.
-  ::shutdown(conn->fd, SHUT_WR);
-  conn->retired.store(true, std::memory_order_release);
-}
-
-#ifdef __linux__
 
 void Server::on_readable(EventThread& et,
                          const std::shared_ptr<Connection>& conn) {
   (void)et;
-  if (conn->input_done) return;
+  if (conn->input_done.load(std::memory_order_relaxed)) return;
   if (conn->in_buf.empty()) conn->in_buf.resize(kRecvBufInitial);
   for (;;) {
     // Paused input is the kBlock backpressure: leave bytes in the socket
@@ -660,7 +550,6 @@ void Server::on_readable(EventThread& et,
     if (n > 0) {
       conn->in_len += static_cast<std::size_t>(n);
       if (!process_input(conn)) {
-        conn->input_done = true;
         ::shutdown(conn->fd, SHUT_RD);
         teardown(conn);
         return;
@@ -678,7 +567,6 @@ void Server::on_readable(EventThread& et,
       if (errno == EINTR) continue;
     }
     // EOF or hard error: no more input ever.
-    conn->input_done = true;
     teardown(conn);
     return;
   }
@@ -747,9 +635,9 @@ void Server::flush_out(EventThread& et,
       on_readable(et, conn);
     }
   }
-  // Finalize: reader saw EOF, every job's callback ran, output is flushed
-  // (or the socket died). Mirror the threads backend's teardown order.
-  if (conn->reader_done.load(std::memory_order_acquire) &&
+  // Finalize: input saw EOF, every job's callback ran, output is flushed
+  // (or the socket died).
+  if (conn->input_done.load(std::memory_order_acquire) &&
       conn->jobs.load(std::memory_order_acquire) == 0) {
     bool drained;
     {
@@ -820,14 +708,6 @@ void Server::event_loop(EventThread& et) {
   }
 }
 
-#else  // !__linux__
-
-void Server::event_loop(EventThread&) {}
-void Server::on_readable(EventThread&, const std::shared_ptr<Connection>&) {}
-void Server::flush_out(EventThread&, const std::shared_ptr<Connection>&) {}
-
-#endif
-
 void Server::stop() {
   if (stopped_.exchange(true)) return;
   stopping_.store(true, std::memory_order_release);
@@ -846,30 +726,20 @@ void Server::stop() {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns = conns_;
   }
-  // Wake readers (recv returns 0) and fail writers' sends so a slow or
-  // vanished consumer cannot wedge the drain.
+  // Shut every socket down so a slow or vanished consumer cannot wedge
+  // the drain. The shutdowns raise EPOLLIN/EPOLLRDHUP edges; the event
+  // threads run the EOF path (teardown) for every connection, including
+  // ones still waiting in a fresh list. Wait for that quiesce -- after it
+  // no thread submits jobs anymore.
   for (const auto& c : conns) ::shutdown(c->fd, SHUT_RDWR);
-#ifdef __linux__
-  if (!events_.empty()) {
-    // The shutdowns above raise EPOLLIN/EPOLLRDHUP edges; the event
-    // threads run the EOF path (teardown) for every connection, including
-    // ones still waiting in a fresh list. Wait for that quiesce -- after
-    // it no thread submits jobs anymore.
-    for (const auto& et : events_) et->wake();
-    for (const auto& c : conns) {
-      while (!c->reader_done.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+  for (const auto& et : events_) et->wake();
+  for (const auto& c : conns) {
+    while (!c->input_done.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-#endif
-  for (const auto& c : conns) {
-    if (c->reader.joinable()) c->reader.join();
-  }
-  // Input is quiesced; drain every admitted job so callbacks finish and
-  // the output paths close.
+  // Input is quiesced; drain every admitted job so callbacks finish.
   runtime_->stop();
-#ifdef __linux__
   for (const auto& et : events_) {
     et->stop.store(true, std::memory_order_release);
     et->wake();
@@ -880,11 +750,7 @@ void Server::stop() {
     if (et->wake_fd >= 0) ::close(et->wake_fd);
   }
   events_.clear();
-#endif
-  for (const auto& c : conns) {
-    if (c->writer.joinable()) c->writer.join();
-    ::close(c->fd);
-  }
+  for (const auto& c : conns) ::close(c->fd);
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.clear();

@@ -1,27 +1,38 @@
 // Decimation-as-a-service: the socket front-end over runtime::SessionRuntime.
 //
-// A Server listens on a unix-domain socket and/or 127.0.0.1 TCP. Each
-// accepted connection gets a reader thread (parse + validate frames,
-// admit jobs) and a writer thread (drain the connection's bounded output
-// ring to the socket). Channel ids are scoped per connection -- session
+// A Server listens on a unix-domain socket and/or 127.0.0.1 TCP. Accepted
+// connections are pinned (by connection id) to one of a small pool of
+// event threads, each running an edge-triggered epoll loop over its share
+// of the connections. Channel ids are scoped per connection -- session
 // key = (connection id << 32) | channel -- so tenants cannot touch each
 // other's streams; with the default power-of-two shard count the shard a
-// channel lands on is simply channel mod shards.
+// channel lands on is simply channel mod shards. The server is Linux-only
+// (epoll, eventfd).
 //
 // Data path:
 //
-//   reader --validate/seq-check--> SessionRuntime shard ring
+//   event thread --recv, scan_frame in place, validate/seq-check-->
+//          SessionRuntime shard ring
 //          --worker pool--> DecimationChain::process --> encode DATA_OUT
-//          --> connection output MpmcRing --> writer --> socket
+//          --> connection output queue --eventfd wake--> event thread
+//          --sendmsg(header, payload)--> socket
+//
+// Frames are scanned in place in the connection's receive buffer (wire.h
+// scan_frame -- the payload is never copied into an intermediate Frame)
+// and responses leave as header+payload iovec pairs. Worker callbacks
+// enqueue OutFrames and wake the owning event thread through an eventfd.
 //
 // Backpressure and overload (ServerOptions::policy):
-//  * kBlock: full shard ring blocks the reader (TCP/unix flow control
-//    pushes back to the client); full output ring blocks the worker,
-//    which stalls that connection's shard only -- zero sample loss.
-//  * kShed: full shard ring drops the DATA frame, counts service.shed
+//  * kBlock: a full shard ring blocks the event thread's submit (and so
+//    every connection pinned to it) until a worker frees a slot. A
+//    connection whose output queue reaches out_queue_capacity has its
+//    *input* paused -- bytes stay in the socket buffer, so TCP/unix flow
+//    control pushes back to the client -- until the queue is half
+//    drained. No worker ever blocks on a slow client; zero sample loss.
+//  * kShed: a full shard ring drops the DATA frame, counts service.shed
 //    and notifies the client with a SHED frame carrying the dropped
-//    sequence number; full output ring drops the outbound frame and
-//    counts service.shed_out. Workers never block on a slow consumer.
+//    sequence number; a full output queue drops the outbound frame and
+//    counts service.shed_out.
 //
 // Lifecycle frames (OPEN/CONFIG/DRAIN/CLOSE) are never shed. A
 // malformed byte stream (bad magic/CRC/length) terminates only that
@@ -33,27 +44,13 @@
 // service.inflight gauge (admitted jobs not yet executed) and
 // service.throughput_sps.ch<id> gauges.
 //
-// I/O backends (ServerOptions::io, DSADC_SERVICE_IO):
-//  * kThreads: the blocking path above -- two threads per connection.
-//  * kEpoll (default on Linux): a small pool of event threads, each
-//    running an edge-triggered epoll loop over its share of the
-//    connections (pinned by connection id). Frames are scanned in place
-//    in the connection's receive buffer (wire.h scan_frame -- the payload
-//    is never copied into an intermediate Frame) and responses leave via
-//    writev as header+payload iovec pairs. Worker callbacks enqueue
-//    OutFrames and wake the owning event thread through an eventfd.
-//    Backpressure under kBlock pauses a connection's *input* when its
-//    output queue passes the cap (TCP flow control then pushes back),
-//    so an event thread never blocks on a slow client.
-//
 // Environment knobs (all optional; see options_from_env):
 //   DSADC_SERVICE_POLICY        block | shed
 //   DSADC_SERVICE_SHARDS        shard count (default 16)
 //   DSADC_SERVICE_THREADS       worker count (default DSADC_RUNTIME_THREADS
 //                               or hardware concurrency)
 //   DSADC_SERVICE_QUEUE_CAP     jobs per shard ring (default 64)
-//   DSADC_SERVICE_OUT_CAP       frames per connection output ring (256)
-//   DSADC_SERVICE_IO            epoll | threads (default epoll on Linux)
+//   DSADC_SERVICE_OUT_CAP       output-queue high-water mark (256)
 //   DSADC_SERVICE_EVENT_THREADS epoll event threads (default 2)
 //   DSADC_SERVICE_BATCH_LINGER_US  lockstep group linger (default 20000)
 #pragma once
@@ -74,8 +71,7 @@
 namespace dsadc::service {
 
 enum class IoBackend : std::uint8_t {
-  kThreads,  ///< blocking reader/writer thread pair per connection
-  kEpoll,    ///< edge-triggered event-thread pool (Linux; default there)
+  kEpoll,  ///< edge-triggered event-thread pool
 };
 
 struct ServerOptions {
@@ -87,13 +83,12 @@ struct ServerOptions {
   std::size_t shards = 16;
   std::size_t workers = 0;  ///< 0 -> configured_threads()
   std::size_t queue_capacity = 64;
+  /// Output-queue high-water mark per connection: kBlock pauses the
+  /// connection's input at it, kShed drops outbound frames past it.
   std::size_t out_queue_capacity = 256;
-#ifdef __linux__
+  /// The only backend; kept so existing callers that set it compile.
   IoBackend io = IoBackend::kEpoll;
-#else
-  IoBackend io = IoBackend::kThreads;
-#endif
-  std::size_t event_threads = 2;  ///< epoll backend only
+  std::size_t event_threads = 2;  ///< 0 -> 1
   /// Lockstep batch-group linger (runtime::SessionRuntime::Options).
   std::int64_t batch_linger_us = 20000;
 };
@@ -131,12 +126,9 @@ class Server {
 
   void accept_loop(int listen_fd);
   void spawn_connection(int fd);
-  /// Drops the connections whose I/O has finished (Connection::retired):
-  /// joins their exited threads and closes their sockets. Caller holds
-  /// conns_mu_.
+  /// Drops the connections whose I/O has finished (Connection::retired)
+  /// and closes their sockets. Caller holds conns_mu_.
   void reap_retired_locked();
-  void reader_loop(const std::shared_ptr<Connection>& conn);
-  void writer_loop(const std::shared_ptr<Connection>& conn);
   /// Dispatch one validated frame. `f.payload` borrows the connection's
   /// receive buffer; anything that outlives the call (job codes, config
   /// blobs) is decoded out of the span here.
@@ -145,7 +137,7 @@ class Server {
   /// Scan + dispatch every complete frame in the connection's receive
   /// buffer, then compact. False on a malformed stream (kBad).
   bool process_input(const std::shared_ptr<Connection>& conn);
-  /// Close the connection's sessions (reader-thread teardown path).
+  /// Close the connection's sessions once its input has ended.
   void teardown(const std::shared_ptr<Connection>& conn);
   /// Enqueue one sealed server->client frame per the overload policy.
   void conn_send(const std::shared_ptr<Connection>& conn, OutFrame&& f);
@@ -157,7 +149,7 @@ class Server {
   std::shared_ptr<const decim::ChainConfig> resolve_config(
       std::span<const std::uint8_t> payload, ErrorCode* err);
 
-  // --- epoll backend ---
+  // --- event threads ---
   void event_loop(EventThread& et);
   void on_readable(EventThread& et, const std::shared_ptr<Connection>& conn);
   void flush_out(EventThread& et, const std::shared_ptr<Connection>& conn);

@@ -124,10 +124,9 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
 void append_frame(std::vector<std::uint8_t>& out, const Frame& f);
 std::vector<std::uint8_t> encode_frame(const Frame& f);
 
-/// An outbound frame held as header + detached payload, so the writer can
-/// hand both to writev() without gluing them into one buffer (the second
-/// per-frame memcpy the blocking path used to pay). Payload vectors are
-/// recycled through the connection's buffer pool.
+/// An outbound frame held as header + detached payload, so the event
+/// thread can hand both to sendmsg() as two iovecs without gluing them
+/// into one buffer.
 struct OutFrame {
   std::array<std::uint8_t, kHeaderBytes> header{};
   std::vector<std::uint8_t> payload;

@@ -98,10 +98,10 @@ TEST_F(ObsTest, CounterTotalSumsByPrefix) {
 
 TEST_F(ObsTest, ConcurrentCounterIncrementsAreExact) {
   auto& reg = obs::Registry::instance();
-  constexpr int kThreads = 4;
+  constexpr int kNumThreads = 4;
   constexpr int kPerThread = 100000;
   std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
+  for (int t = 0; t < kNumThreads; ++t) {
     workers.emplace_back([&reg] {
       // Mix pre-looked-up and by-name access: both must be race-free.
       auto& c = reg.counter("test.concurrent.count");
@@ -115,12 +115,12 @@ TEST_F(ObsTest, ConcurrentCounterIncrementsAreExact) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(reg.counter("test.concurrent.count").value(),
-            std::uint64_t{kThreads} * kPerThread);
+            std::uint64_t{kNumThreads} * kPerThread);
   EXPECT_EQ(reg.counter("test.concurrent.count2").value(),
-            2u * kThreads * kPerThread);
+            2u * kNumThreads * kPerThread);
   auto& h = reg.histogram("test.concurrent.hist", {});
-  EXPECT_EQ(h.count(), std::uint64_t{kThreads} * kPerThread);
-  EXPECT_DOUBLE_EQ(h.sum(), static_cast<double>(kThreads) * kPerThread);
+  EXPECT_EQ(h.count(), std::uint64_t{kNumThreads} * kPerThread);
+  EXPECT_DOUBLE_EQ(h.sum(), static_cast<double>(kNumThreads) * kPerThread);
 }
 
 TEST_F(ObsTest, RegistryJsonRoundTrips) {

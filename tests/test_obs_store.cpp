@@ -134,11 +134,11 @@ TEST_F(StoreTest, MultiBlockAndTimeRangePruning) {
 
 TEST_F(StoreTest, ConcurrentWritersExactCounts) {
   ASSERT_TRUE(open(dir_));
-  constexpr int kThreads = 8;
+  constexpr int kNumThreads = 8;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
+  threads.reserve(kNumThreads);
+  for (int t = 0; t < kNumThreads; ++t) {
     threads.emplace_back([t] {
       const std::uint32_t name =
           intern("writer." + std::to_string(t));
@@ -156,19 +156,19 @@ TEST_F(StoreTest, ConcurrentWritersExactCounts) {
   StoreReader reader(dir_);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader.total_events(Category::kRuntime),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
+            static_cast<std::uint64_t>(kNumThreads) * kPerThread);
   // Exact per-channel counts and per-channel value sums survived the
   // concurrent staging/hand-off path.
-  std::vector<std::uint64_t> counts(kThreads, 0);
-  std::vector<std::int64_t> sums(kThreads, 0);
+  std::vector<std::uint64_t> counts(kNumThreads, 0);
+  std::vector<std::int64_t> sums(kNumThreads, 0);
   reader.visit(Category::kRuntime, [&](const Event& ev) {
-    ASSERT_LT(ev.channel, static_cast<std::uint32_t>(kThreads));
+    ASSERT_LT(ev.channel, static_cast<std::uint32_t>(kNumThreads));
     ++counts[ev.channel];
     sums[ev.channel] += ev.value;
   });
   constexpr std::int64_t kWant =
       std::int64_t{kPerThread} * (kPerThread - 1) / 2;
-  for (int t = 0; t < kThreads; ++t) {
+  for (int t = 0; t < kNumThreads; ++t) {
     EXPECT_EQ(counts[t], static_cast<std::uint64_t>(kPerThread)) << t;
     EXPECT_EQ(sums[t], kWant) << t;
   }

@@ -12,7 +12,6 @@
 #include <random>
 #include <set>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -73,15 +72,6 @@ class ServiceTest : public ::testing::Test {
     o.unix_path = service::net::unique_socket_path(tag);
     o.workers = 4;
     o.shards = 8;
-    // CI runs this suite once per I/O backend via DSADC_SERVICE_IO;
-    // options are built directly here, so re-apply the env override.
-    if (const char* io = std::getenv("DSADC_SERVICE_IO")) {
-      if (std::string_view(io) == "threads") {
-        o.io = service::IoBackend::kThreads;
-      } else if (std::string_view(io) == "epoll") {
-        o.io = service::IoBackend::kEpoll;
-      }
-    }
     return o;
   }
 
@@ -847,13 +837,17 @@ TEST_F(ServiceTest, FormatWidthConfigsRefusedAndSessionKeepsServing) {
   // Stage formats whose width is outside [1, 62]: the saturation bounds
   // 2^(width-1) would be a bad shift or negation. soa::Requant checks the
   // width before it computes the bounds, so each stage refuses the config
-  // at construction with an ERROR frame instead of reaching the UB.
+  // at construction with an ERROR frame instead of reaching the UB. The
+  // input format feeds no requantizer, so ChainBank applies the same rule
+  // to it rather than serve codes of a meaningless width.
   const decim::ChainConfig cfg = decim::paper_chain_config();
-  std::vector<decim::ChainConfig> bad(4, cfg);
+  std::vector<decim::ChainConfig> bad(6, cfg);
   bad[0].hbf_in_format.width = 64;
   bad[1].hbf_out_format.width = 0;
   bad[2].scaler_out_format.width = 80;
   bad[3].output_format.width = -3;
+  bad[4].input_format.width = 0;
+  bad[5].input_format.width = 70;
   expect_refused_while_serving("format_width", bad, 73);
 }
 

@@ -37,11 +37,7 @@ std::vector<std::int32_t> stimulus_codes(verify::StimulusClass c,
   return codes;
 }
 
-// Every fault scenario runs against both I/O backends: the blocking
-// thread-pair path and the edge-triggered epoll event loop share frame
-// semantics but none of their buffer or shutdown machinery.
-class ServiceFaultTest
-    : public ::testing::TestWithParam<service::IoBackend> {
+class ServiceFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_enabled(true);
@@ -53,7 +49,6 @@ class ServiceFaultTest
     o.unix_path = service::net::unique_socket_path(tag);
     o.workers = 4;
     o.shards = 4;
-    o.io = GetParam();
     return o;
   }
 
@@ -70,7 +65,7 @@ class ServiceFaultTest
   }
 };
 
-TEST_P(ServiceFaultTest, GarbledMagicDropsOnlyThatConnection) {
+TEST_F(ServiceFaultTest, GarbledMagicDropsOnlyThatConnection) {
   service::Server server(test_options("garble"));
   server.start();
   auto victim = service::Client::connect_unix(server.unix_path());
@@ -92,7 +87,7 @@ TEST_P(ServiceFaultTest, GarbledMagicDropsOnlyThatConnection) {
   server.stop();
 }
 
-TEST_P(ServiceFaultTest, BadCrcDropsOnlyThatConnection) {
+TEST_F(ServiceFaultTest, BadCrcDropsOnlyThatConnection) {
   service::Server server(test_options("crc"));
   server.start();
   auto victim = service::Client::connect_unix(server.unix_path());
@@ -116,7 +111,7 @@ TEST_P(ServiceFaultTest, BadCrcDropsOnlyThatConnection) {
   server.stop();
 }
 
-TEST_P(ServiceFaultTest, TruncatedFrameThenDisconnect) {
+TEST_F(ServiceFaultTest, TruncatedFrameThenDisconnect) {
   // A client dies mid-frame (header promises more payload than ever
   // arrives). The server must tear the connection down on EOF and keep
   // serving everyone else.
@@ -139,7 +134,7 @@ TEST_P(ServiceFaultTest, TruncatedFrameThenDisconnect) {
   server.stop();
 }
 
-TEST_P(ServiceFaultTest, OutOfOrderSequenceRejectedStreamContinues) {
+TEST_F(ServiceFaultTest, OutOfOrderSequenceRejectedStreamContinues) {
   service::Server server(test_options("seq"));
   server.start();
   auto client = service::Client::connect_unix(server.unix_path());
@@ -168,7 +163,7 @@ TEST_P(ServiceFaultTest, OutOfOrderSequenceRejectedStreamContinues) {
   server.stop();
 }
 
-TEST_P(ServiceFaultTest, DataWithoutOpenIsNotOpen) {
+TEST_F(ServiceFaultTest, DataWithoutOpenIsNotOpen) {
   service::Server server(test_options("noopen"));
   server.start();
   auto client = service::Client::connect_unix(server.unix_path());
@@ -186,7 +181,7 @@ TEST_P(ServiceFaultTest, DataWithoutOpenIsNotOpen) {
   server.stop();
 }
 
-TEST_P(ServiceFaultTest, DoubleOpenRejectedSessionSurvives) {
+TEST_F(ServiceFaultTest, DoubleOpenRejectedSessionSurvives) {
   service::Server server(test_options("dopen"));
   server.start();
   auto client = service::Client::connect_unix(server.unix_path());
@@ -210,7 +205,7 @@ TEST_P(ServiceFaultTest, DoubleOpenRejectedSessionSurvives) {
   server.stop();
 }
 
-TEST_P(ServiceFaultTest, BadPresetRejected) {
+TEST_F(ServiceFaultTest, BadPresetRejected) {
   service::Server server(test_options("preset"));
   server.start();
   auto client = service::Client::connect_unix(server.unix_path());
@@ -221,7 +216,7 @@ TEST_P(ServiceFaultTest, BadPresetRejected) {
   server.stop();
 }
 
-TEST_P(ServiceFaultTest, DisconnectMidStreamLeavesServerHealthy) {
+TEST_F(ServiceFaultTest, DisconnectMidStreamLeavesServerHealthy) {
   service::Server server(test_options("dc"));
   server.start();
   auto victim = service::Client::connect_unix(server.unix_path());
@@ -241,7 +236,7 @@ TEST_P(ServiceFaultTest, DisconnectMidStreamLeavesServerHealthy) {
   server.stop();
 }
 
-TEST_P(ServiceFaultTest, SlowConsumerBlockPolicyLosesNothing) {
+TEST_F(ServiceFaultTest, SlowConsumerBlockPolicyLosesNothing) {
   // kBlock + tiny queues: a paused consumer exerts backpressure all the
   // way to its own socket, but once it resumes every sample arrives.
   auto opts = test_options("slowb");
@@ -285,7 +280,7 @@ TEST_P(ServiceFaultTest, SlowConsumerBlockPolicyLosesNothing) {
   server.stop();
 }
 
-TEST_P(ServiceFaultTest, ShedPolicyAccountsEveryDroppedFrame) {
+TEST_F(ServiceFaultTest, ShedPolicyAccountsEveryDroppedFrame) {
   // kShed + a 1-deep admission queue + a paused consumer: overload must
   // shed DATA frames (never lifecycle frames), notify the client of each
   // drop, and keep the books balanced: accepted + shed == sent.
@@ -337,13 +332,5 @@ TEST_P(ServiceFaultTest, ShedPolicyAccountsEveryDroppedFrame) {
   client.reset();
   server.stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    IoBackends, ServiceFaultTest,
-    ::testing::Values(service::IoBackend::kThreads,
-                      service::IoBackend::kEpoll),
-    [](const ::testing::TestParamInfo<service::IoBackend>& info) {
-      return info.param == service::IoBackend::kEpoll ? "epoll" : "threads";
-    });
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include <memory>
 #include <random>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -56,19 +55,6 @@ struct SoakScale {
   std::size_t frames = env_size("DSADC_SOAK_FRAMES", 512);
 };
 
-// CI runs the soak suite once per I/O backend by exporting
-// DSADC_SERVICE_IO; tests construct ServerOptions directly, so the env
-// override from options_from_env() has to be re-applied here.
-void apply_io_env(service::ServerOptions& o) {
-  if (const char* io = std::getenv("DSADC_SERVICE_IO")) {
-    if (std::string_view(io) == "threads") {
-      o.io = service::IoBackend::kThreads;
-    } else if (std::string_view(io) == "epoll") {
-      o.io = service::IoBackend::kEpoll;
-    }
-  }
-}
-
 class ServiceSoakTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -101,7 +87,6 @@ TEST_F(ServiceSoakTest, BlockPolicySustainsAllChannelsZeroLoss) {
   opts.unix_path = service::net::unique_socket_path("soakb");
   opts.shards = 16;
   opts.queue_capacity = 16;  // small on purpose: admission backpressure
-  apply_io_env(opts);
   service::Server server(opts);
   server.start();
 
@@ -177,7 +162,6 @@ TEST_F(ServiceSoakTest, ShedPolicyAccountingBalancesUnderOverload) {
   opts.queue_capacity = 1;
   opts.workers = 1;
   opts.out_queue_capacity = 1 << 15;  // no output-side drops: admission only
-  apply_io_env(opts);
   service::Server server(opts);
   server.start();
 
@@ -249,9 +233,6 @@ TEST_F(ServiceSoakTest, ShedPolicyAccountingBalancesUnderOverload) {
 }
 
 TEST_F(ServiceSoakTest, ThousandIdleConnectionsEpollStaysHealthy) {
-#ifndef __linux__
-  GTEST_SKIP() << "epoll backend is linux-only";
-#else
   // A large herd of connected-but-silent tenants must cost the epoll
   // event loop nothing: a live tenant streams bit-exact through the
   // middle of the herd, half the herd then vanishes abruptly (RDHUP
@@ -274,7 +255,6 @@ TEST_F(ServiceSoakTest, ThousandIdleConnectionsEpollStaysHealthy) {
 
   service::ServerOptions opts;
   opts.unix_path = service::net::unique_socket_path("soaki");
-  opts.io = service::IoBackend::kEpoll;
   opts.event_threads = 2;
   service::Server server(opts);
   server.start();
@@ -323,7 +303,6 @@ TEST_F(ServiceSoakTest, ThousandIdleConnectionsEpollStaysHealthy) {
 
   auto& reg = obs::Registry::instance();
   EXPECT_EQ(reg.counter("service.connections").value(), idle + 1);
-#endif
 }
 
 }  // namespace
