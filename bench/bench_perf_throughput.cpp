@@ -24,7 +24,6 @@
 #include "src/rtl/builders.h"
 #include "src/rtl/compiled_sim.h"
 #include "src/rtl/sim.h"
-#include "src/runtime/multichannel.h"
 
 namespace {
 
@@ -123,9 +122,8 @@ BENCHMARK(BM_DecimationChainStages);
 // Sample-at-a-time reference for the chain: the same stages driven through
 // push() one sample at a time. The ratio of BM_DecimationChain to this is
 // decim_chain_batched_speedup -- the win from the bank kernels (run at one
-// lane), measured in the same run on the same machine. It is also the
-// denominator of the runtime_soa_*_speedup ratios: push() is code no
-// kernel change touches, so those ratios move only with the bank.
+// lane), measured in the same run on the same machine. push() is code no
+// kernel change touches, so the ratio moves only with the bank.
 void BM_DecimationChainPush(benchmark::State& state) {
   const auto cfg = decim::paper_chain_config();
   decim::CicCascade cic(cfg.cic_stages);
@@ -173,13 +171,10 @@ void BM_DecimationChainPush(benchmark::State& state) {
 }
 BENCHMARK(BM_DecimationChainPush);
 
-// --- Multi-channel runtime: SoA lockstep vs N serial chain runs ---------
+// --- Multi-channel: N DecimationChains on one thread --------------------
 //
-// The SoA leg is forced to one worker (DSADC_RUNTIME_THREADS=1), so the
-// runtime_soa_*_speedup ratios (SoA codes/s over BM_DecimationChainPush
-// codes/s) measure only the lockstep kernel win and stay independent of
-// the runner's core count: CI gates them via bench_diff. The serial leg
-// is N DecimationChains, i.e. N 1-lane banks with chain bookkeeping.
+// What MultiChannelRuntime runs per tick at one worker: N 1-lane chains,
+// each over its own 8192-code block.
 
 const std::vector<std::vector<std::int32_t>>& channel_codes(
     std::size_t channels) {
@@ -211,22 +206,6 @@ void BM_MultiChannelSerial(benchmark::State& state) {
                           static_cast<std::int64_t>(channels * (1 << 13)));
 }
 BENCHMARK(BM_MultiChannelSerial)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_MultiChannelSoA(benchmark::State& state) {
-  ::setenv("DSADC_RUNTIME_THREADS", "1", 1);
-  const auto channels = static_cast<std::size_t>(state.range(0));
-  const auto& blocks = channel_codes(channels);
-  runtime::MultiChannelRuntime rt(decim::paper_chain_config(), channels);
-  std::vector<std::vector<std::int64_t>> out;
-  for (auto _ : state) {
-    rt.reset();
-    rt.process_into(blocks, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(channels * (1 << 13)));
-}
-BENCHMARK(BM_MultiChannelSoA)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_HbfDesign(benchmark::State& state) {
   for (auto _ : state) {
@@ -553,21 +532,6 @@ int main(int argc, char** argv) {
                        "BM_RtlSimChainCompiled", 0.45);
   ok &= record_speedup(report, reporter, "decim_chain_batched_speedup",
                        "BM_DecimationChain", "BM_DecimationChainPush", 1.5);
-  // Channels-scaling: the single-worker SoA lockstep runtime over the
-  // push() reference chain (see the benchmark comments). The 16-channel
-  // ratio is the acceptance bar for the runtime; 4 and 64 document the
-  // scaling curve ends. Measured on a shared 4-core AVX-512 host: 4.2-6.1x,
-  // 12.5-19x and 14-21x over five runs, and 4.6x, 7.1x and 8.1x with
-  // DSADC_SIMD=scalar; the floors are the scalar-tier numbers with
-  // headroom for slower machines and noisy runners.
-  ok &= record_speedup(report, reporter, "runtime_soa_4ch_speedup",
-                       "BM_MultiChannelSoA/4", "BM_DecimationChainPush", 3.0);
-  ok &= record_speedup(report, reporter, "runtime_soa_16ch_speedup",
-                       "BM_MultiChannelSoA/16", "BM_DecimationChainPush",
-                       5.0);
-  ok &= record_speedup(report, reporter, "runtime_soa_64ch_speedup",
-                       "BM_MultiChannelSoA/64", "BM_DecimationChainPush",
-                       6.0);
   // The optimized tape must never be slower than the unoptimized one; the
   // floor is lenient (0.98) because the win is modest -- the tape is
   // already const-hoisted -- and timer noise on small deltas is real.

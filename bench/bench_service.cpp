@@ -3,16 +3,7 @@
 // against the scalar chain and recorded as BENCH_service.json telemetry:
 //
 //   service_64ch_mcodes_per_s        aggregate admitted input rate, 64 ch
-//   service_256ch_mcodes_per_s       per-session scalar path, 256 channels
-//   service_batch_256ch_mcodes_per_s same load with lockstep OPENs -- the
-//                                    SoA batch fast path (ChainBank rounds)
-//   service_batch_speedup            batch 256ch Mcodes/s over (workers x
-//                                    one 32-lane ChainBank's Mcodes/s,
-//                                    timed in this process between the
-//                                    batch reps): the share of the kernel
-//                                    ceiling that batched serving reaches.
-//                                    CI gates this ratio; a kernel change
-//                                    moves both sides.
+//   service_256ch_mcodes_per_s       same path at 256 channels
 //   service_frame_p50_ms, service_frame_p99_ms
 //                                    wire-to-wire DATA->DATA_OUT latency,
 //                                    sender-stamped and measured at the
@@ -21,7 +12,6 @@
 //                                    store when one is open
 //   service_zero_loss                1.0 when every channel was bit-exact
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -38,7 +28,6 @@
 #include "src/obs/obs.h"
 #include "src/obs/store/store.h"
 #include "src/obs/store/tracker.h"
-#include "src/runtime/multichannel.h"
 #include "src/service/client.h"
 #include "src/service/net.h"
 #include "src/service/server.h"
@@ -55,15 +44,14 @@ struct RunResult {
   bool exact = false;
 };
 
-/// One load run. With `lockstep` the channels OPEN with the LOCKSTEP flag,
-/// every ack is awaited, and the senders stream barrier-paced so the
-/// server's batch groups stay runnable. When `latency_ms` is non-null,
+/// One load run: every channel of `conns` connections streams `blocks`
+/// DATA frames of `frames` codes. When `latency_ms` is non-null,
 /// every DATA frame is timestamped at send and its DATA_OUT stamped at the
 /// client receiver (wire-to-wire, both socket hops plus the chain work);
 /// each sample is also recorded as a frame.rtt transaction when the trace
 /// store is open.
 RunResult run_load(std::size_t channels, std::size_t conns,
-                   std::size_t blocks, std::size_t frames, bool lockstep,
+                   std::size_t blocks, std::size_t frames,
                    std::vector<double>* latency_ms = nullptr) {
   std::mt19937_64 rng(777);
   const auto raw = verify::make_stimulus(verify::StimulusClass::kModulator,
@@ -130,25 +118,13 @@ RunResult run_load(std::size_t channels, std::size_t conns,
   const std::size_t per_conn = channels / conns;
   const auto t0 = Clock::now();
   std::vector<std::thread> senders;
-  std::barrier pace(static_cast<std::ptrdiff_t>(conns));
   for (std::size_t c = 0; c < conns; ++c) {
     senders.emplace_back([&, c] {
       auto& client = *clients[c];
       for (std::size_t k = 0; k < per_conn; ++k) {
-        client.open(static_cast<std::uint32_t>(c * per_conn + k), 0,
-                    lockstep);
-      }
-      if (lockstep) {
-        // The cohort must be fully open before any group can seal at full
-        // width; barrier-paced blocks keep the groups runnable.
-        for (std::size_t k = 0; k < per_conn; ++k) {
-          client.wait_ack_count(static_cast<std::uint32_t>(c * per_conn + k),
-                                1, std::chrono::milliseconds(30000));
-        }
-        pace.arrive_and_wait();
+        client.open(static_cast<std::uint32_t>(c * per_conn + k), 0);
       }
       for (std::size_t b = 0; b < blocks; ++b) {
-        if (lockstep) pace.arrive_and_wait();
         for (std::size_t k = 0; k < per_conn; ++k) {
           const auto ch = static_cast<std::uint32_t>(c * per_conn + k);
           if (latency_ms != nullptr) {
@@ -184,43 +160,15 @@ RunResult run_load(std::size_t channels, std::size_t conns,
   return r;
 }
 
-/// One 32-lane ChainBank (the preset the loads serve) through
-/// process_rows, the batch rounds' transpose + kernel path, on this
-/// thread: the best of three passes of `blocks` x `frames` codes per lane,
-/// in Mcodes/s.
-double bank32_mcodes_per_s(std::size_t blocks, std::size_t frames) {
-  constexpr std::size_t kLanes = 32;
-  std::mt19937_64 rng(777);
-  const auto raw = verify::make_stimulus(verify::StimulusClass::kModulator,
-                                         frames, fx::Format{4, 0}, rng);
-  const std::vector<std::int32_t> codes(raw.begin(), raw.end());
-  const std::vector<const std::int32_t*> rows(kLanes, codes.data());
-  std::vector<std::vector<std::int64_t>> outs(kLanes);
-  decim::ChainBank bank(*service::preset_config(0), kLanes);
-  double best_s = 0.0;
-  for (int pass = 0; pass < 3; ++pass) {
-    for (auto& o : outs) o.clear();
-    const auto t0 = Clock::now();
-    for (std::size_t b = 0; b < blocks; ++b) {
-      bank.process_rows(rows, frames, outs);
-    }
-    const std::chrono::duration<double> dt = Clock::now() - t0;
-    if (pass == 0 || dt.count() < best_s) best_s = dt.count();
-  }
-  return static_cast<double>(kLanes * blocks * frames) /
-         (best_s > 0 ? best_s : 1e-9) / 1e6;
-}
-
 /// Best throughput over `reps` runs. A single run's number swings with
 /// scheduler noise on shared runners; the peak is stable enough for the
 /// store-overhead gate in CI to compare at a tight tolerance.
 RunResult run_load_best(std::size_t channels, std::size_t conns,
-                        std::size_t blocks, std::size_t frames,
-                        bool lockstep, int reps) {
+                        std::size_t blocks, std::size_t frames, int reps) {
   RunResult best;
   best.exact = true;
   for (int i = 0; i < reps; ++i) {
-    const RunResult r = run_load(channels, conns, blocks, frames, lockstep);
+    const RunResult r = run_load(channels, conns, blocks, frames);
     best.exact = best.exact && r.exact;
     if (r.mcodes_per_s > best.mcodes_per_s) {
       best.mcodes_per_s = r.mcodes_per_s;
@@ -245,50 +193,29 @@ int main() {
   obs::set_enabled(false);  // measure the data path, not the counters
 
   std::printf("decimation service sustained throughput (block policy)\n");
-  std::printf("%8s  %8s  %8s  %12s  %6s\n", "channels", "conns", "mode",
-              "Mcodes/s", "exact");
+  std::printf("%8s  %8s  %12s  %6s\n", "channels", "conns", "Mcodes/s",
+              "exact");
 
-  const auto r64 = run_load_best(64, 4, 16, 512, false, 3);
-  std::printf("%8d  %8d  %8s  %12.2f  %6s\n", 64, 4, "scalar",
-              r64.mcodes_per_s, r64.exact ? "yes" : "NO");
-  const auto r256 = run_load_best(256, 8, 2, 8192, false, 3);
-  std::printf("%8d  %8d  %8s  %12.2f  %6s\n", 256, 8, "scalar",
-              r256.mcodes_per_s, r256.exact ? "yes" : "NO");
-  // Batch reps alternate with the kernel-ceiling reps; the ratio is the
-  // median of the per-rep ratios, the throughput the best rep.
-  const double workers = static_cast<double>(runtime::configured_threads());
-  RunResult b256;
-  b256.exact = true;
-  std::vector<double> ratios;
-  for (int rep = 0; rep < 3; ++rep) {
-    const RunResult r = run_load(256, 8, 2, 8192, true);
-    const double bank = bank32_mcodes_per_s(2, 8192);
-    b256.exact = b256.exact && r.exact;
-    b256.mcodes_per_s = std::max(b256.mcodes_per_s, r.mcodes_per_s);
-    ratios.push_back(bank > 0 ? r.mcodes_per_s / (workers * bank) : 0.0);
-  }
-  std::printf("%8d  %8d  %8s  %12.2f  %6s\n", 256, 8, "batch",
-              b256.mcodes_per_s, b256.exact ? "yes" : "NO");
-  const double speedup = percentile(ratios, 0.5);
-  std::printf("batch over kernel ceiling (256ch, %.0f workers): %.3f\n",
-              workers, speedup);
-
-  // Wire-to-wire frame latency under a lighter lockstep load (the
-  // throughput runs above saturate the queues, which would measure queue
-  // depth, not the serving path).
+  const auto r64 = run_load_best(64, 4, 16, 512, 3);
+  std::printf("%8d  %8d  %12.2f  %6s\n", 64, 4, r64.mcodes_per_s,
+              r64.exact ? "yes" : "NO");
+  const auto r256 = run_load_best(256, 8, 2, 8192, 3);
+  std::printf("%8d  %8d  %12.2f  %6s\n", 256, 8, r256.mcodes_per_s,
+              r256.exact ? "yes" : "NO");
+  // Wire-to-wire frame latency under a lighter load (the throughput runs
+  // above saturate the queues, which would measure queue depth, not the
+  // serving path).
   std::vector<double> latency_ms;
-  const auto rlat = run_load(64, 4, 8, 512, true, &latency_ms);
+  const auto rlat = run_load(64, 4, 8, 512, &latency_ms);
   const double p50 = percentile(latency_ms, 0.50);
   const double p99 = percentile(latency_ms, 0.99);
-  std::printf("frame latency (64ch lockstep): p50 %.3f ms  p99 %.3f ms over "
+  std::printf("frame latency (64ch): p50 %.3f ms  p99 %.3f ms over "
               "%zu frames\n",
               p50, p99, latency_ms.size());
 
-  const bool ok = r64.exact && r256.exact && b256.exact && rlat.exact;
+  const bool ok = r64.exact && r256.exact && rlat.exact;
   report.set("service_64ch_mcodes_per_s", r64.mcodes_per_s);
   report.set("service_256ch_mcodes_per_s", r256.mcodes_per_s);
-  report.set("service_batch_256ch_mcodes_per_s", b256.mcodes_per_s);
-  report.set("service_batch_speedup", speedup);
   report.set("service_frame_p50_ms", p50);
   report.set("service_frame_p99_ms", p99);
   report.set("service_zero_loss", ok);

@@ -158,8 +158,7 @@ ChainBank::ChainBank(const ChainConfig& config, std::size_t lanes)
       equalizer_(FixedTaps::from_real(config.equalizer_taps,
                                       config.equalizer_frac_bits),
                  /*decimation=*/1, lanes, config.scaler_out_format,
-                 config.output_format),
-      dst_(lanes) {
+                 config.output_format) {
   if (config.cic_stages.empty()) {
     throw std::invalid_argument("ChainBank: no CIC stages");
   }
@@ -190,59 +189,6 @@ void ChainBank::renormalize(std::vector<std::int64_t>& data) {
 
 void ChainBank::process_inplace(std::vector<std::int64_t>& data) {
   process_inplace(data, [](std::size_t, const std::vector<std::int64_t>&) {});
-}
-
-void ChainBank::process_rows(std::span<const std::int32_t* const> rows,
-                             std::size_t frames,
-                             std::span<std::vector<std::int64_t>> outs) {
-  if (rows.size() != lanes_ || outs.size() != lanes_) {
-    throw std::invalid_argument("ChainBank: one row and output per lane");
-  }
-  // Both copies run frame-major: the interleaved stream stays sequential
-  // (one cache line per 8 slots) while the other side fans across the
-  // lane streams -- lane-major order would touch a fresh line on every
-  // store once the chunk outgrows L1.
-  const std::size_t width = lanes_;
-  for (std::size_t base = 0; base < frames; base += kTransposeChunkFrames) {
-    const std::size_t chunk = std::min(kTransposeChunkFrames, frames - base);
-    buf_.resize(chunk * width);
-    std::int64_t* const buf = buf_.data();
-    for (std::size_t f = 0; f < chunk; ++f) {
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        buf[f * width + lane] = rows[lane][base + f];
-      }
-    }
-    process_inplace(buf_);
-    const std::size_t chunk_out = buf_.size() / width;
-    std::int64_t** const dst = dst_.data();
-    for (std::size_t lane = 0; lane < width; ++lane) {
-      const std::size_t off = outs[lane].size();
-      outs[lane].resize(off + chunk_out);
-      dst[lane] = outs[lane].data() + off;
-    }
-    const std::int64_t* const src = buf_.data();
-    for (std::size_t f = 0; f < chunk_out; ++f) {
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        dst[lane][f] = src[f * width + lane];
-      }
-    }
-  }
-}
-
-void ChainBank::copy_lane(std::size_t src_lane, ChainBank& dst,
-                          std::size_t dst_lane) const {
-  if (dst.cic_.size() != cic_.size()) {
-    throw std::invalid_argument("ChainBank: copy config mismatch");
-  }
-  // Stage by stage (scaler and renorm are stateless); each stage checks
-  // the lane indices and that `dst` was built from the same parameters.
-  // Only the Sinc state differs in form between widths (modular at one
-  // lane); the CIC copy wraps it, so a copy either way is exact.
-  for (std::size_t i = 0; i < cic_.size(); ++i) {
-    cic_[i].copy_lane(src_lane, dst.cic_[i], dst_lane);
-  }
-  hbf_.copy_lane(src_lane, dst.hbf_, dst_lane);
-  equalizer_.copy_lane(src_lane, dst.equalizer_, dst_lane);
 }
 
 DecimationChain::DecimationChain(ChainConfig config)

@@ -90,11 +90,6 @@ struct StageProbe {
   SignalStats stats;             ///< boundary statistics for this block
 };
 
-/// Frames per ChainBank::process_rows chunk: the interleaved buffer of a
-/// full 32-lane group (1024 x 32 int64) stays cache-resident across the
-/// bank's stages.
-inline constexpr std::size_t kTransposeChunkFrames = 1024;
-
 /// An N-lane lockstep decimation chain over channel-interleaved frames
 /// (element index = frame * lanes + lane): the bank form of every stage
 /// plus the CIC-gain renormalization between the Sinc cascade and the
@@ -114,30 +109,7 @@ class ChainBank {
   template <class AtStage>
   void process_inplace(std::vector<std::int64_t>& data, AtStage&& at_stage);
 
-  /// Lockstep transpose around process_inplace: `rows[lane]` points at
-  /// `frames` modulator codes for each of the `lanes()` lanes; each
-  /// lane's output samples are appended to `outs[lane]`. Runs in
-  /// kTransposeChunkFrames chunks through an owned interleave buffer
-  /// (the bank carries state across calls, so any chunking of the same
-  /// stream is bit-exact).
-  void process_rows(std::span<const std::int32_t* const> rows,
-                    std::size_t frames,
-                    std::span<std::vector<std::int64_t>> outs);
-
   void reset();
-
-  /// Copy lane `src_lane`'s streaming state into lane `dst_lane` of `dst`,
-  /// a bank built from the same config, so that lane continues the stream
-  /// -- and its fx event attribution -- bit-exactly from the next block
-  /// on. Stage cursors and decimation phases are shared by a bank's lanes
-  /// and are copied too, so `dst`'s other lanes must be at the same
-  /// stream position; a 1-lane `dst` (a DecimationChain's bank) always
-  /// is. The batch serving mode uses this to dissolve a lockstep group
-  /// back to per-session chains. Throws std::invalid_argument for a lane
-  /// out of range or a `dst` built from other parameters; `dst` may then
-  /// be partly overwritten.
-  void copy_lane(std::size_t src_lane, ChainBank& dst,
-                 std::size_t dst_lane) const;
 
   std::size_t lanes() const { return lanes_; }
   /// Halfband group delay in halfband input samples.
@@ -152,8 +124,6 @@ class ChainBank {
   SaramakiHbfBank hbf_;
   ScalingStage scaler_;
   FirDecimatorBank equalizer_;
-  std::vector<std::int64_t> buf_;   ///< process_rows interleave scratch
-  std::vector<std::int64_t*> dst_;  ///< process_rows per-lane write heads
 };
 
 template <class AtStage>
@@ -191,9 +161,6 @@ class DecimationChain {
   void reset();
 
   const ChainConfig& config() const { return config_; }
-  /// The chain's streaming state (a lane-copy target for dissolving a
-  /// lockstep batch group).
-  ChainBank& bank() { return bank_; }
   std::size_t total_decimation() const;
   double output_rate_hz() const;
   /// Total pipeline latency in input samples (sum of group delays).

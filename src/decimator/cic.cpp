@@ -125,30 +125,6 @@ void CicDecimatorBank::process_inplace(std::vector<std::int64_t>& data) {
   data.resize(n_out * C);
 }
 
-void CicDecimatorBank::copy_lane(std::size_t src_lane, CicDecimatorBank& dst,
-                                 std::size_t dst_lane) const {
-  if (src_lane >= channels_ || dst_lane >= dst.channels_) {
-    throw std::invalid_argument("CicDecimatorBank: copy lane out of range");
-  }
-  if (dst.spec_.order != spec_.order ||
-      dst.spec_.decimation != spec_.decimation ||
-      dst.fmt_.width != fmt_.width) {
-    throw std::invalid_argument("CicDecimatorBank: copy spec mismatch");
-  }
-  // A 1-lane bank keeps its state modular (congruent mod 2^w, see the
-  // class comment); wrapping on the copy hands every destination the
-  // wrapped state the multi-lane kernel expects.
-  const soa::Wrap wrap(fmt_.width);
-  const auto order = static_cast<std::size_t>(spec_.order);
-  for (std::size_t k = 0; k < order; ++k) {
-    dst.integ_[k * dst.channels_ + dst_lane] =
-        wrap(integ_[k * channels_ + src_lane]);
-    dst.comb_[k * dst.channels_ + dst_lane] =
-        wrap(comb_[k * channels_ + src_lane]);
-  }
-  dst.phase_ = phase_;
-}
-
 CicCascade::CicCascade(std::vector<design::CicSpec> specs,
                        CicHardwareOptions options) {
   if (specs.empty()) throw std::invalid_argument("CicCascade: no stages");

@@ -67,7 +67,7 @@ class CicDecimator {
 /// combs with no wrap per add, one wrap per stored output -- the same
 /// samples, since a Hogenauer output is exact modulo 2^w. Its state is
 /// then kept unwrapped, congruent mod 2^w to the wrapped state of a
-/// multi-lane bank; copy_lane wraps what it copies.
+/// multi-lane bank.
 class CicDecimatorBank {
  public:
   CicDecimatorBank(design::CicSpec spec, std::size_t channels,
@@ -78,14 +78,6 @@ class CicDecimatorBank {
   void process_inplace(std::vector<std::int64_t>& data);
 
   void reset();
-
-  /// Copy lane `src_lane`'s streaming state (accumulators, differentiator
-  /// delays) into lane `dst_lane` of `dst`, a bank built from the same
-  /// spec, so that lane continues the stream bit-exactly. The decimation
-  /// phase is shared by all lanes and is copied too, so `dst`'s other
-  /// lanes must be at the same stream position (any 1-lane `dst` is).
-  void copy_lane(std::size_t src_lane, CicDecimatorBank& dst,
-                 std::size_t dst_lane) const;
 
   const design::CicSpec& spec() const { return spec_; }
   const fx::Format& register_format() const { return fmt_; }

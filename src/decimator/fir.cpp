@@ -142,22 +142,6 @@ void FirDecimatorBank::reset() {
   phase_ = 0;
 }
 
-void FirDecimatorBank::copy_lane(std::size_t src_lane, FirDecimatorBank& dst,
-                                 std::size_t dst_lane) const {
-  if (src_lane >= channels_ || dst_lane >= dst.channels_) {
-    throw std::invalid_argument("FirDecimatorBank: copy lane out of range");
-  }
-  if (dst.taps_.taps != taps_.taps || dst.taps_.frac_bits != taps_.frac_bits ||
-      dst.decimation_ != decimation_) {
-    throw std::invalid_argument("FirDecimatorBank: copy taps mismatch");
-  }
-  for (std::size_t r = 0; r < taps_.size(); ++r) {
-    dst.delay_[r * dst.channels_ + dst_lane] = delay_[r * channels_ + src_lane];
-  }
-  dst.pos_ = pos_;
-  dst.phase_ = phase_;
-}
-
 void FirDecimatorBank::process_inplace(std::vector<std::int64_t>& data) {
   // The delay line plus the new block become one contiguous window of
   // (tap_count - 1 + frames) rows, so each emit position is a row of C

@@ -88,14 +88,6 @@ class FirDecimatorBank {
 
   void reset();
 
-  /// Copy lane `src_lane`'s delay line into lane `dst_lane` of `dst`, a
-  /// bank built from the same taps, so that lane continues the stream
-  /// bit-exactly. The write cursor and decimation phase are shared by all
-  /// lanes and are copied too, so `dst`'s other lanes must be at the same
-  /// stream position (any 1-lane `dst` is).
-  void copy_lane(std::size_t src_lane, FirDecimatorBank& dst,
-                 std::size_t dst_lane) const;
-
   std::size_t channels() const { return channels_; }
   const FixedTaps& taps() const { return taps_; }
 

@@ -244,36 +244,6 @@ void SaramakiHbfBank::reset() {
   phase_ = 0;
 }
 
-void SaramakiHbfBank::copy_lane(std::size_t src_lane, SaramakiHbfBank& dst,
-                                std::size_t dst_lane) const {
-  if (src_lane >= channels_ || dst_lane >= dst.channels_) {
-    throw std::invalid_argument("SaramakiHbfBank: copy lane out of range");
-  }
-  if (dst.p_.n1 != p_.n1 || dst.p_.n2 != p_.n2 ||
-      dst.p_.coeff_frac != p_.coeff_frac ||
-      dst.p_.f2_coeffs != p_.f2_coeffs || dst.p_.f1_coeffs != p_.f1_coeffs) {
-    throw std::invalid_argument("SaramakiHbfBank: copy design mismatch");
-  }
-  // Every bank stores each delay line oldest row first, at any width, so
-  // row r holds the same sample in both banks and the copy is a strided
-  // lane copy per structure.
-  const auto copy = [&](const std::vector<std::int64_t>& from,
-                        std::vector<std::int64_t>& to) {
-    const std::size_t rows = from.size() / channels_;
-    for (std::size_t r = 0; r < rows; ++r) {
-      to[r * dst.channels_ + dst_lane] = from[r * channels_ + src_lane];
-    }
-  };
-  for (std::size_t k = 0; k < block_hist_.size(); ++k) {
-    copy(block_hist_[k], dst.block_hist_[k]);
-  }
-  copy(odd_delay_, dst.odd_delay_);
-  for (std::size_t i = 0; i < branch_delay_.size(); ++i) {
-    copy(branch_delay_[i], dst.branch_delay_[i]);
-  }
-  dst.phase_ = phase_;
-}
-
 namespace {
 
 /// Concatenate `line` (a delay line, oldest row first) and `rows` into

@@ -129,15 +129,6 @@ class SaramakiHbfBank {
 
   void reset();
 
-  /// Copy lane `src_lane`'s streaming state (G2 cascade histories, the
-  /// 0.5-path delay, branch delays) into lane `dst_lane` of `dst`, a bank
-  /// built from the same design, so that lane continues the stream
-  /// bit-exactly. The decimate-by-2 phase is shared by all lanes and is
-  /// copied too, so `dst`'s other lanes must be at the same stream
-  /// position (any 1-lane `dst` is).
-  void copy_lane(std::size_t src_lane, SaramakiHbfBank& dst,
-                 std::size_t dst_lane) const;
-
   std::size_t channels() const { return channels_; }
   std::size_t group_delay() const { return p_.big_d; }
 

@@ -1,7 +1,6 @@
 #include "src/runtime/multichannel.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -25,20 +24,16 @@ std::size_t configured_threads() {
 }
 
 MultiChannelRuntime::MultiChannelRuntime(const decim::ChainConfig& config,
-                                         std::size_t channels)
-    : channels_(channels) {
-  if (channels_ == 0) {
+                                         std::size_t channels) {
+  if (channels == 0) {
     throw std::invalid_argument("MultiChannelRuntime: channels >= 1");
   }
-  groups_.reserve((channels_ + kGroupWidth - 1) / kGroupWidth);
-  for (std::size_t first = 0; first < channels_; first += kGroupWidth) {
-    const std::size_t width = std::min(kGroupWidth, channels_ - first);
-    groups_.emplace_back(config, first, width);
-  }
+  channels_.reserve(channels);
+  for (std::size_t c = 0; c < channels; ++c) channels_.emplace_back(config);
 }
 
 void MultiChannelRuntime::reset() {
-  for (auto& g : groups_) g.bank.reset();
+  for (auto& ch : channels_) ch.chain.reset();
 }
 
 std::vector<std::vector<std::int64_t>> MultiChannelRuntime::process(
@@ -51,7 +46,7 @@ std::vector<std::vector<std::int64_t>> MultiChannelRuntime::process(
 void MultiChannelRuntime::process_into(
     const std::vector<std::vector<std::int32_t>>& codes,
     std::vector<std::vector<std::int64_t>>& out) {
-  if (codes.size() != channels_) {
+  if (codes.size() != channels_.size()) {
     throw std::invalid_argument(
         "MultiChannelRuntime: one code block per channel expected");
   }
@@ -63,60 +58,47 @@ void MultiChannelRuntime::process_into(
     }
   }
 
-  out.resize(channels_);
+  out.resize(channels_.size());
   const bool obs_on = obs::enabled();
 
-  const auto run_group = [&](Group& g) {
+  const auto run_channel = [&](std::size_t c) {
+    Channel& ch = channels_[c];
     const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t w = g.width;
-    std::array<const std::int32_t*, kGroupWidth> rows{};
-    for (std::size_t lane = 0; lane < w; ++lane) {
-      rows[lane] = codes[g.first + lane].data();
-      out[g.first + lane].clear();
-    }
-    g.bank.process_rows({rows.data(), w}, frames, {out.data() + g.first, w});
+    out[c] = ch.chain.process(codes[c]);
     if (obs_on) {
       const std::chrono::duration<double> dt =
           std::chrono::steady_clock::now() - t0;
-      const double sps =
-          dt.count() > 0.0 ? static_cast<double>(frames) / dt.count() : 0.0;
-      if (g.sample_counters.empty()) {
+      if (ch.samples == nullptr) {
         auto& reg = obs::Registry::instance();
-        g.sample_counters.reserve(w);
-        g.throughput_gauges.reserve(w);
-        for (std::size_t lane = 0; lane < w; ++lane) {
-          const std::string ch = std::to_string(g.first + lane);
-          g.sample_counters.push_back(&reg.counter("runtime.samples.ch" + ch));
-          g.throughput_gauges.push_back(
-              &reg.gauge("runtime.throughput_sps.ch" + ch));
-        }
+        const std::string id = std::to_string(c);
+        ch.samples = &reg.counter("runtime.samples.ch" + id);
+        ch.throughput = &reg.gauge("runtime.throughput_sps.ch" + id);
       }
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        g.sample_counters[lane]->add(frames);
-        g.throughput_gauges[lane]->set(sps);
-      }
+      ch.samples->add(frames);
+      ch.throughput->set(
+          dt.count() > 0.0 ? static_cast<double>(frames) / dt.count() : 0.0);
     }
   };
 
   const std::size_t workers =
-      std::min(configured_threads(), groups_.size());
+      std::min(configured_threads(), channels_.size());
   if (workers <= 1) {
-    for (auto& g : groups_) run_group(g);
+    for (std::size_t c = 0; c < channels_.size(); ++c) run_channel(c);
     return;
   }
 
-  // Atomic-claim worker pool over the (independent) groups. Group width
-  // is fixed, so partitioning -- and therefore every lane's arithmetic --
-  // is identical for every worker count; only scheduling varies.
+  // Atomic-claim worker pool over the (independent) channels. Each
+  // channel's arithmetic is its own chain's, so the result is identical
+  // for every worker count; only scheduling varies.
   std::atomic<std::size_t> next{0};
   std::exception_ptr error;
   std::mutex error_mu;
   const auto worker = [&] {
     for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= groups_.size()) return;
+      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= channels_.size()) return;
       try {
-        run_group(groups_[i]);
+        run_channel(c);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mu);
         if (!error) error = std::current_exception();

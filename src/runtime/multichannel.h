@@ -1,27 +1,20 @@
-// Multi-channel lockstep streaming runtime (SoA batch execution).
+// Multi-channel streaming runtime: N independent copies of the paper's
+// decimation chain, one decim::DecimationChain per channel.
 //
-// Runs N independent copies of the paper's decimation chain over a
-// channel-interleaved structure-of-arrays layout: channels are packed
-// into fixed-width groups (kGroupWidth lanes), each group is carried as
-// frames of `width` int64 lanes (element index = frame * width + lane),
-// and one decim::ChainBank runs every chain stage's bank kernel over the
-// whole group. DecimationChain is the same ChainBank at width 1, so each
-// channel's output stream -- and the fx.<event>.<site> saturation /
-// round counter totals -- are bit-identical to running N chains.
+// Every channel owns its chain and is fed its own row of codes, so its
+// output stream -- and the fx.<event>.<site> saturation / round counter
+// totals -- are those of one DecimationChain::process per channel by
+// construction. A DecimationChain is a 1-lane ChainBank whose kernels
+// vectorize along time, so a channel runs as fast as one lane of a
+// multi-lane bank without interleaving the rows.
 //
-// ChainBank::process_rows is the one interleave -> bank -> deinterleave
-// loop: MultiChannelRuntime here and the session runtime's lockstep
-// batch rounds (session.h) both call it, in kTransposeChunkFrames chunks.
-//
-// Groups are independent, so they can be claimed by a small worker pool
-// (DSADC_RUNTIME_THREADS); the group width is a compile-time constant and
-// results are deposited per-channel, so the output is deterministic and
-// identical for every worker count. See docs/PERF.md ("Multi-channel
-// runtime") for the layout and the determinism argument.
+// Channels are independent, so they are claimed by a small worker pool
+// (DSADC_RUNTIME_THREADS); results are deposited per channel, so the
+// output is deterministic and identical for every worker count. See
+// docs/PERF.md ("Multi-channel runtime").
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/decimator/chain.h"
@@ -33,24 +26,20 @@ class Gauge;
 
 namespace dsadc::runtime {
 
-/// Fixed SoA group width. Independent of thread count (so results never
-/// depend on DSADC_RUNTIME_THREADS; per-lane results are independent of
-/// the grouping itself, the width only moves performance). 32 int64
-/// lanes fill AVX-512 vectors four times over, amortize the per-frame
-/// scalar bookkeeping of the HBF/CIC kernels, and still leave multiple
-/// groups for the worker pool at 64+ channels.
+/// Lane count of a full multi-lane ChainBank (the bank layer probes): 32
+/// int64 lanes fill AVX-512 vectors four times over. The runtime itself
+/// runs every channel at one lane.
 inline constexpr std::size_t kGroupWidth = 32;
 
-/// The lockstep chain and its transpose chunk live in decimator/chain.h
-/// (DecimationChain is a 1-lane ChainBank); the runtime re-exports them.
+/// The bank form of the chain lives in decimator/chain.h (DecimationChain
+/// is a 1-lane ChainBank); the runtime re-exports it.
 using decim::ChainBank;
-using decim::kTransposeChunkFrames;
 
 /// Worker count for the runtime: DSADC_RUNTIME_THREADS when set (clamped
 /// to >= 1), else the hardware concurrency.
 std::size_t configured_threads();
 
-/// The streaming runtime: N channels, grouped into SoA banks, executed
+/// The streaming runtime: N channels, one DecimationChain each, executed
 /// by an optional worker pool. Also publishes per-channel throughput
 /// gauges (`runtime.throughput_sps.ch<i>`) and sample counters
 /// (`runtime.samples.ch<i>`) while observability is enabled.
@@ -65,34 +54,26 @@ class MultiChannelRuntime {
       const std::vector<std::vector<std::int32_t>>& codes);
 
   /// Same, writing into caller-owned vectors (resized to `channels()`).
-  /// Reusing `out` across streaming ticks makes the steady state
-  /// allocation-free once capacities have grown to the block size.
   void process_into(const std::vector<std::vector<std::int32_t>>& codes,
                     std::vector<std::vector<std::int64_t>>& out);
 
   void reset();
 
-  std::size_t channels() const { return channels_; }
-  std::size_t groups() const { return groups_.size(); }
+  std::size_t channels() const { return channels_.size(); }
 
  private:
-  struct Group {
-    std::size_t first = 0;  ///< first channel index
-    std::size_t width = 0;  ///< lanes in this group (<= kGroupWidth)
-    ChainBank bank;
-    /// Per-lane instrument handles, resolved once on first publish so the
-    /// steady state never rebuilds metric-name strings (Registry handles
-    /// are process-lifetime stable).
-    std::vector<obs::Counter*> sample_counters;
-    std::vector<obs::Gauge*> throughput_gauges;
+  struct Channel {
+    decim::DecimationChain chain;
+    /// Instrument handles, resolved once on first publish so the steady
+    /// state never rebuilds metric-name strings (Registry handles are
+    /// process-lifetime stable).
+    obs::Counter* samples = nullptr;
+    obs::Gauge* throughput = nullptr;
 
-    Group(const decim::ChainConfig& config, std::size_t first_,
-          std::size_t width_)
-        : first(first_), width(width_), bank(config, width_) {}
+    explicit Channel(const decim::ChainConfig& config) : chain(config) {}
   };
 
-  std::size_t channels_;
-  std::vector<Group> groups_;
+  std::vector<Channel> channels_;
 };
 
 }  // namespace dsadc::runtime

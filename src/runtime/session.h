@@ -1,7 +1,7 @@
 // Sharded session runtime: the per-channel lifecycle layer under the
 // decimation service (src/service).
 //
-// The SoA MultiChannelRuntime runs a fixed set of lockstep channels; a
+// The MultiChannelRuntime runs a fixed set of equal-tick channels; a
 // service instead sees thousands of independent sessions that open,
 // stream DATA blocks of arbitrary length, reconfigure, drain and close
 // at their own pace. SessionRuntime provides that lifecycle: sessions
@@ -28,20 +28,11 @@
 //    (open/reconfigure/drain/close) always block: losing them would
 //    corrupt the session state machine.
 //
-// Batch serving (the service fast path): sessions that OPEN with
-// SessionJob::lockstep and share a config object form per-shard
-// BatchGroups. Once a group seals (first DATA frame), equal-length DATA
-// blocks present at every lane run as one ChainBank::process_rows round
-// -- the same chunked interleave -> bank kernels (scalar/AVX2/AVX-512
-// dispatched) -> deinterleave loop MultiChannelRuntime uses -- back to
-// per-session results. A session's own DecimationChain is the same
-// ChainBank at width 1, so lane arithmetic is bit-identical to it,
-// including fx saturate/round counter totals, and the fast path is
-// invisible except in throughput. Stragglers (deep uneven backlogs),
-// unequal block lengths, the linger timer, or any lifecycle op dissolve
-// the group: ChainBank::copy_lane copies each lane of the group's bank
-// into its session chain's 1-lane bank, and queued blocks replay on the
-// sessions' own chains, preserving per-session FIFO order.
+// Every session's DATA runs on its own chain, in job
+// order, under the shard claim, so served output is bit-identical to one
+// DecimationChain::process per session -- samples and fx saturate/round
+// counter totals -- for any worker count. SessionJob::lockstep and
+// Options::batch_linger_us are accepted and ignored.
 //
 // While observability is enabled the runtime publishes the
 // `service.inflight` gauge (admitted jobs not yet completed).
@@ -49,7 +40,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <semaphore>
@@ -91,14 +81,11 @@ struct SessionJob {
   std::uint64_t session = 0;
   SessionOp op = SessionOp::kData;
   /// Chain configuration for kOpen/kReconfigure (shared so presets are
-  /// designed once, not per session). Batch grouping keys on the POINTER:
-  /// sessions batch together only when they share one config object.
+  /// designed once, not per session); null selects the paper chain.
   std::shared_ptr<const decim::ChainConfig> config;
   std::vector<std::int32_t> codes;  ///< kData payload
-  /// kOpen only: volunteer this session for lockstep batch serving. Its
-  /// DATA blocks may then be coalesced with co-sharded lockstep sessions
-  /// of the same config into one SoA ChainBank round (bit-exact either
-  /// way, including fx counter totals; purely a throughput hint).
+  /// Accepted and ignored: every session runs on its own chain. Kept so
+  /// callers that set it still compile.
   bool lockstep = false;
   std::function<void(SessionResult)> done;
 };
@@ -112,15 +99,9 @@ class SessionRuntime {
     std::size_t workers = 0;  ///< 0 -> configured_threads()
     std::size_t queue_capacity = 64;  ///< jobs per shard ring
     Overload policy = Overload::kBlock;
-    /// Batch serving: a lockstep group whose backlog has been blocked on a
-    /// starved lane for this long is dissolved back to scalar chains (the
-    /// cohort is evidently not lockstep in practice). 0 disables the
-    /// timer-based dissolve (lifecycle/straggler dissolves still apply).
+    /// Accepted and ignored (there are no batch groups to linger); kept
+    /// so callers that set it still compile.
     std::int64_t batch_linger_us = 20000;
-    /// Straggler bound: when the deepest lane backlog of a non-runnable
-    /// group reaches this many blocks, the group dissolves immediately
-    /// instead of waiting out the linger timer.
-    std::size_t batch_max_lane_backlog = 8;
   };
 
   explicit SessionRuntime(Options opts);
@@ -159,45 +140,12 @@ class SessionRuntime {
   static std::size_t drain_pad_frames(const decim::DecimationChain& chain);
 
  private:
-  struct BatchGroup;
-
   struct Session {
     std::unique_ptr<decim::DecimationChain> chain;
     /// Trace-store transaction id of the kOpen that created the session;
     /// later jobs link their transactions to it as parent, so a whole
     /// session reads as one tree in the store.
     std::uint64_t open_txn = 0;
-    /// Lockstep batch membership. While grouped, the session's streaming
-    /// state lives in lane `lane` of the group's ChainBank; `chain` stays
-    /// parked and dissolve copies the lane into it.
-    BatchGroup* group = nullptr;
-    std::size_t lane = 0;
-    /// The config this session was opened/reconfigured with (the grouping
-    /// key).
-    std::shared_ptr<const decim::ChainConfig> config;
-  };
-
-  /// A lockstep cohort on one shard: sessions that opened with the
-  /// lockstep flag and one shared config object. Joins happen between the
-  /// cohort's OPENs and its first DATA frame (the group then "seals" at
-  /// its current width); after that, equal-length DATA blocks present at
-  /// every lane are interleaved and run as one ChainBank round. Any
-  /// lifecycle event, unequal block lengths, a deep straggler backlog, or
-  /// the linger timer dissolves the group: every lane of the bank is
-  /// copied into its session's chain and queued jobs replay there --
-  /// bit-exactly, since a chain is a 1-lane bank of the same class.
-  struct BatchGroup {
-
-    std::shared_ptr<const decim::ChainConfig> config;
-    std::vector<std::uint64_t> members;  ///< session id per lane
-    /// Per-lane FIFO of admitted-but-unprocessed kData jobs.
-    std::vector<std::deque<SessionJob>> backlog;
-    std::unique_ptr<decim::ChainBank> bank;  ///< created when the group seals
-    bool sealed = false;
-    std::size_t queued = 0;  ///< total backlog entries across lanes
-    /// steady_clock us when the backlog last became blocked (some lane
-    /// waiting on a starved peer); 0 while empty or runnable.
-    std::int64_t blocked_since_us = 0;
   };
 
   struct Shard {
@@ -208,35 +156,12 @@ class SessionRuntime {
     alignas(64) std::atomic<bool> busy{false};
     /// Session table; touched only by the worker holding `busy`.
     std::unordered_map<std::uint64_t, Session> sessions;
-    /// Lockstep groups; touched only by the worker holding `busy`.
-    std::vector<std::unique_ptr<BatchGroup>> groups;
-    /// Earliest BatchGroup::blocked_since_us across `groups` (0: none).
-    /// Written under the claim, read by idle workers deciding whether a
-    /// quiet shard needs a linger-timer visit.
-    std::atomic<std::int64_t> batch_blocked_us{0};
   };
 
   void worker_loop();
   /// Runs one job against its shard's session table and invokes `done`.
   void run_job(Shard& shard, SessionJob& job);
   void publish_inflight() const;
-
-  // --- batch serving (all run under the shard claim) ---
-  /// Joins a freshly opened lockstep session to a compatible unsealed
-  /// group (same config object, width < kGroupWidth), creating one if
-  /// needed.
-  void join_group(Shard& shard, Session& s, std::uint64_t session_id);
-  /// Runs every currently runnable round (all lanes holding equal-length
-  /// front blocks), then applies the straggler bound. May dissolve `g`.
-  void pump_group(Shard& shard, BatchGroup& g);
-  void run_batch_round(Shard& shard, BatchGroup& g, std::size_t frames);
-  /// Copies every lane of the bank into its session's chain, replays the
-  /// backlog through run_job (the sessions' own chains), and deletes the
-  /// group.
-  void dissolve_group(Shard& shard, BatchGroup& g);
-  /// Dissolves groups whose blocked backlog outlived batch_linger_us.
-  void flush_stale_groups(Shard& shard, std::int64_t now_us);
-  void refresh_batch_blocked(Shard& shard);
 
   Options opts_;
   std::vector<std::unique_ptr<Shard>> shards_;

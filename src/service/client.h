@@ -42,9 +42,8 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   // --- senders (caller thread; false once the connection is down) ------
-  /// `lockstep` sets the OPEN frame's LOCKSTEP flag: the server may batch
-  /// this channel's DATA frames with co-configured lockstep tenants
-  /// (bit-exact either way; purely a throughput hint).
+  /// `lockstep` sets the OPEN frame's LOCKSTEP flag, which the server
+  /// accepts and ignores.
   bool open(std::uint32_t channel, std::uint32_t preset = 0,
             bool lockstep = false);
   /// OPEN with a fully serialized ChainConfig instead of a preset id.

@@ -104,9 +104,6 @@ ServerOptions options_from_env() {
   o.out_queue_capacity =
       env_size("DSADC_SERVICE_OUT_CAP", o.out_queue_capacity);
   o.event_threads = env_size("DSADC_SERVICE_EVENT_THREADS", o.event_threads);
-  if (const char* v = std::getenv("DSADC_SERVICE_BATCH_LINGER_US")) {
-    o.batch_linger_us = std::strtol(v, nullptr, 10);
-  }
   return o;
 }
 
@@ -186,7 +183,6 @@ Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
   ro.workers = opts_.workers;
   ro.queue_capacity = opts_.queue_capacity;
   ro.policy = opts_.policy;
-  ro.batch_linger_us = opts_.batch_linger_us;
   runtime_ = std::make_unique<runtime::SessionRuntime>(ro);
 }
 
@@ -317,23 +313,12 @@ std::shared_ptr<const decim::ChainConfig> Server::resolve_config(
     if (!cfg) *err = ErrorCode::kBadPreset;
     return cfg;
   }
-  // Full serialized ChainConfig. Interned by payload bytes: tenants that
-  // send the identical blob share one config object, which is what lets
-  // their lockstep sessions batch (grouping keys on the pointer).
-  std::string key(payload.begin(), payload.end());
-  {
-    std::lock_guard<std::mutex> lock(cfg_mu_);
-    const auto it = cfg_cache_.find(key);
-    if (it != cfg_cache_.end()) return it->second;
-  }
   decim::ChainConfig cfg;
   if (!decode_chain_config(payload, &cfg)) {
     *err = ErrorCode::kBadPayload;
     return nullptr;
   }
-  auto shared = std::make_shared<const decim::ChainConfig>(std::move(cfg));
-  std::lock_guard<std::mutex> lock(cfg_mu_);
-  return cfg_cache_.emplace(std::move(key), std::move(shared)).first->second;
+  return std::make_shared<const decim::ChainConfig>(std::move(cfg));
 }
 
 void Server::handle_frame(const std::shared_ptr<Connection>& conn,
@@ -366,8 +351,6 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       job.op = f.type == FrameType::kOpen ? SessionOp::kOpen
                                           : SessionOp::kReconfigure;
       job.config = std::move(cfg);
-      job.lockstep =
-          f.type == FrameType::kOpen && (f.flags & kFlagLockstep) != 0;
       const FrameType acked = f.type;
       job.done = [this, conn, ch, seq, acked](SessionResult r) {
         if (r.status == SessionStatus::kOk) {

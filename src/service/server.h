@@ -52,7 +52,6 @@
 //   DSADC_SERVICE_QUEUE_CAP     jobs per shard ring (default 64)
 //   DSADC_SERVICE_OUT_CAP       output-queue high-water mark (256)
 //   DSADC_SERVICE_EVENT_THREADS epoll event threads (default 2)
-//   DSADC_SERVICE_BATCH_LINGER_US  lockstep group linger (default 20000)
 #pragma once
 
 #include <atomic>
@@ -62,7 +61,6 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/runtime/session.h"
@@ -89,7 +87,8 @@ struct ServerOptions {
   /// The only backend; kept so existing callers that set it compile.
   IoBackend io = IoBackend::kEpoll;
   std::size_t event_threads = 2;  ///< 0 -> 1
-  /// Lockstep batch-group linger (runtime::SessionRuntime::Options).
+  /// Accepted and ignored (runtime::SessionRuntime::Options); kept so
+  /// existing callers that set it compile.
   std::int64_t batch_linger_us = 20000;
 };
 
@@ -143,9 +142,7 @@ class Server {
   void conn_send(const std::shared_ptr<Connection>& conn, OutFrame&& f);
   void finish_job(const std::shared_ptr<Connection>& conn);
   /// Resolve an OPEN/CONFIG payload: 4-byte preset id or serialized
-  /// ChainConfig. Identical blobs intern to one shared config object so
-  /// lockstep tenants of the same config can batch (grouping is by
-  /// pointer). nullptr -> *err says why.
+  /// ChainConfig, decoded afresh each time. nullptr -> *err says why.
   std::shared_ptr<const decim::ChainConfig> resolve_config(
       std::span<const std::uint8_t> payload, ErrorCode* err);
 
@@ -171,12 +168,6 @@ class Server {
   mutable std::mutex conns_mu_;
   /// Live connections, plus retired ones until the next accept reaps them.
   std::vector<std::shared_ptr<Connection>> conns_;
-
-  /// OPEN/CONFIG blob interning: payload bytes -> decoded config, shared
-  /// across sessions and connections.
-  std::mutex cfg_mu_;
-  std::unordered_map<std::string, std::shared_ptr<const decim::ChainConfig>>
-      cfg_cache_;
 };
 
 }  // namespace dsadc::service

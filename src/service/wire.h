@@ -51,10 +51,9 @@ inline constexpr std::size_t kHeaderBytes = 24;
 /// Upper bound on payload size: 256K codes per DATA frame.
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 20;
 
-/// OPEN flag: the session volunteers for lockstep batch serving -- the
-/// server may coalesce its DATA frames with other lockstep tenants of the
-/// same configuration into an SoA group (bit-exact either way; purely a
-/// performance hint). Ignored on other frame types.
+/// OPEN flag LOCKSTEP: accepted, ignored. Every session runs on its own
+/// chain whatever the flag says; the bit stays reserved so clients that
+/// set it keep working.
 inline constexpr std::uint8_t kFlagLockstep = 0x01;
 
 enum class FrameType : std::uint8_t {

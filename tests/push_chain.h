@@ -1,7 +1,7 @@
 // Independent oracle for the decimation chain's block paths.
 //
-// DecimationChain, ChainBank, MultiChannelRuntime and the batch serving
-// paths all run the same bank kernels, so comparing them with each other
+// DecimationChain, ChainBank, MultiChannelRuntime and the session runtime
+// all run the same bank kernels, so comparing them with each other
 // would compare a kernel with itself. PushChain instead runs every stage's
 // push() reference sample by sample (and fx::requantize for the CIC
 // renormalization), so each fx event is counted per hit rather than

@@ -252,8 +252,7 @@ TEST_F(ChainTest, BlockCountersMatchPushReference) {
 // DecimationChain, a 1-lane bank and a 5-lane bank all run the bank
 // kernels (the first two through the width-1 instantiation); every lane
 // must match its own push() reference, samples and per-site fx counters,
-// whatever the block split. process_rows' 1024-frame transpose chunks put
-// a chunk edge inside the 4096-frame blocks.
+// whatever the block split.
 TEST_F(ChainTest, BankWidthsMatchPushReferenceAcrossSplits) {
   if (!obs::kCompiledOn) GTEST_SKIP() << "instrumentation compiled out";
   obs::set_enabled(true);
@@ -266,11 +265,13 @@ TEST_F(ChainTest, BankWidthsMatchPushReferenceAcrossSplits) {
     for (const std::size_t lanes : {1u, 5u}) {
       // Lane l streams the modulator output rotated by l * 1001 codes.
       std::vector<std::vector<std::int32_t>> codes(lanes);
+      std::vector<std::vector<std::int64_t>> in(lanes);
       for (std::size_t l = 0; l < lanes; ++l) {
         codes[l].resize(n);
         for (std::size_t i = 0; i < n; ++i) {
           codes[l][i] = dsm.codes[(i + l * 1001) % n];
         }
+        in[l].assign(codes[l].begin(), codes[l].end());
       }
       reg.reset_all();
       std::vector<std::vector<std::int64_t>> want(lanes);
@@ -281,14 +282,7 @@ TEST_F(ChainTest, BankWidthsMatchPushReferenceAcrossSplits) {
       for (const std::size_t block : {1u, 7u, 256u, 4096u}) {
         reg.reset_all();
         decim::ChainBank bank(*cfg, lanes);
-        std::vector<std::vector<std::int64_t>> got(lanes);
-        std::vector<const std::int32_t*> rows(lanes);
-        for (std::size_t pos = 0; pos < n; pos += block) {
-          for (std::size_t l = 0; l < lanes; ++l) {
-            rows[l] = codes[l].data() + pos;
-          }
-          bank.process_rows(rows, std::min(block, n - pos), got);
-        }
+        const auto got = testutil::run_bank(bank, in, block);
         EXPECT_EQ(got, want) << lanes << " lanes, block " << block;
         EXPECT_EQ(fx_snapshot(), want_fx)
             << lanes << " lanes, block " << block;

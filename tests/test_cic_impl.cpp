@@ -177,52 +177,6 @@ TEST(CicBank, LanesMatchPushForAnyBlockSplit) {
   }
 }
 
-// A lane copied mid-stream continues bit-exactly, from a 3-lane bank
-// (wrapped state) into a 1-lane bank (modular state) and back.
-TEST(CicBank, LaneCopyAcrossWidthsContinuesExactly) {
-  const CicSpec spec{6, 2, 12};
-  const std::size_t split = 1001;  // odd: the copy lands mid-decimation
-  std::vector<std::vector<std::int64_t>> in;
-  for (unsigned l = 0; l < 3; ++l) in.push_back(full_range_codes(4099, 40 + l));
-  const auto head = [&](const std::vector<std::int64_t>& v) {
-    return std::vector<std::int64_t>(v.begin(), v.begin() + split);
-  };
-  const auto tail = [&](const std::vector<std::int64_t>& v) {
-    return std::vector<std::int64_t>(v.begin() + split, v.end());
-  };
-  const auto concat = [](std::vector<std::int64_t> a,
-                         const std::vector<std::int64_t>& b) {
-    a.insert(a.end(), b.begin(), b.end());
-    return a;
-  };
-  for (const std::size_t block : {7u, 256u, 4096u}) {
-    // 3 lanes -> 1 lane: lane 1 moves out.
-    decim::CicDecimatorBank wide(spec, 3);
-    const auto wide_head = testutil::run_bank(
-        wide, {head(in[0]), head(in[1]), head(in[2])}, block);
-    decim::CicDecimatorBank narrow(spec, 1);
-    wide.copy_lane(1, narrow, 0);
-    const auto narrow_tail = testutil::run_bank(narrow, {tail(in[1])}, block);
-    EXPECT_EQ(concat(wide_head[1], narrow_tail[0]), push_all(spec, in[1]))
-        << "3 -> 1 lanes, block " << block;
-
-    // 1 lane -> 3 lanes: lane 2 moves in next to lanes at the same
-    // stream position.
-    decim::CicDecimatorBank one(spec, 1);
-    const auto one_head = testutil::run_bank(one, {head(in[2])}, block);
-    decim::CicDecimatorBank three(spec, 3);
-    const auto three_head = testutil::run_bank(
-        three, {head(in[0]), head(in[1]), head(in[0])}, block);
-    one.copy_lane(0, three, 2);
-    const auto three_tail = testutil::run_bank(
-        three, {tail(in[0]), tail(in[1]), tail(in[2])}, block);
-    EXPECT_EQ(concat(one_head[0], three_tail[2]), push_all(spec, in[2]))
-        << "1 -> 3 lanes, block " << block;
-    EXPECT_EQ(concat(three_head[1], three_tail[1]), push_all(spec, in[1]))
-        << "untouched lane, block " << block;
-  }
-}
-
 TEST(CicCascadeImpl, PaperChainGainAndDecimation) {
   CicCascade cascade(design::paper_sinc_cascade());
   EXPECT_EQ(cascade.total_decimation(), 8u);

@@ -1,7 +1,6 @@
 // Multi-channel runtime: bit-exactness against the push() oracle of
 // tests/push_chain.h (outputs AND fx saturation/round counter totals),
-// determinism across worker counts, the ChainBank transpose chunk edges,
-// and the MPMC ring protocol.
+// determinism across worker counts, and the MPMC ring protocol.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -226,7 +225,7 @@ TEST(MpmcRing, TryPushFailsOnlyWhenFullOrClosed) {
 
 TEST_F(RuntimeTest, MultiChannelMatchesScalarChainAllStimuli) {
   const auto cfg = decim::paper_chain_config();
-  constexpr std::size_t kChannels = 10;  // spans a group boundary (8 + 2)
+  constexpr std::size_t kChannels = 10;
   constexpr std::size_t kFrames = 4096;
   const std::uint32_t seed = fuzz_seed(11);
 
@@ -340,66 +339,6 @@ TEST_F(RuntimeTest, MultiChannelFuzzMatchesScalar) {
           << verify::stimulus_name(cls) << " (DSADC_FUZZ_SEED=" << seed
           << ")";
     }
-  }
-}
-
-// --- ChainBank lockstep transpose ---------------------------------------
-
-// process_rows must be bit-exact on both sides of every kTransposeChunkFrames
-// edge. One bank per width is fed the frame counts in sequence, so later
-// calls also start mid-cycle in every stage's decimation phase; each call's
-// appended output and the whole run's fx totals must match one push()
-// oracle per lane.
-TEST_F(RuntimeTest, ProcessRowsChunkEdgesMatchScalarChains) {
-  static_assert(runtime::kTransposeChunkFrames == 1024);
-  const auto cfg = decim::paper_chain_config();
-  const std::size_t kFrameCounts[] = {0, 1, 1023, 1024, 1025, 2500};
-  std::mt19937_64 rng(fuzz_seed(191));
-
-  for (const std::size_t width : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{32}}) {
-    // calls[i][lane]: lane's codes for the i-th call.
-    std::vector<std::vector<std::vector<std::int32_t>>> calls;
-    for (const std::size_t frames : kFrameCounts) {
-      calls.emplace_back();
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        const auto cls = static_cast<verify::StimulusClass>(
-            lane % verify::kNumStimulusClasses);
-        calls.back().push_back(stimulus_codes(cls, frames, rng));
-      }
-    }
-
-    obs::Registry::instance().reset_all();
-    std::vector<PushChain> chains;
-    for (std::size_t lane = 0; lane < width; ++lane) chains.emplace_back(cfg);
-    std::vector<std::vector<std::vector<std::int64_t>>> want;
-    for (const auto& call : calls) {
-      want.emplace_back();
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        want.back().push_back(chains[lane].process(call[lane]));
-      }
-    }
-    const auto want_fx = fx_snapshot();
-
-    obs::Registry::instance().reset_all();
-    runtime::ChainBank bank(cfg, width);
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      std::vector<const std::int32_t*> rows;
-      for (const auto& codes : calls[i]) rows.push_back(codes.data());
-      // A seeded sample checks that outputs are appended, not assigned.
-      std::vector<std::vector<std::int64_t>> outs(
-          width, std::vector<std::int64_t>{-7});
-      bank.process_rows(rows, kFrameCounts[i], outs);
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        ASSERT_EQ(outs[lane].front(), -7);
-        const std::vector<std::int64_t> got(outs[lane].begin() + 1,
-                                            outs[lane].end());
-        ASSERT_EQ(got, want[i][lane])
-            << "width " << width << " frames " << kFrameCounts[i]
-            << " lane " << lane;
-      }
-    }
-    EXPECT_EQ(fx_snapshot(), want_fx) << "width " << width;
   }
 }
 

@@ -852,12 +852,10 @@ TEST_F(ServiceTest, FormatWidthConfigsRefusedAndSessionKeepsServing) {
 }
 
 TEST_F(ServiceTest, LockstepCohortServesBitExactOverWire) {
-  // End-to-end batch path: two connections x 16 lockstep channels on the
-  // same config stream equal-length blocks; the server coalesces them
-  // into ChainBank rounds, and every channel must still see the exact
-  // scalar-chain samples. A mid-stream reconfigure on one channel forces
-  // a dissolve; its stream and its former groupmates' streams must stay
-  // bit-exact through it.
+  // OPENs with the LOCKSTEP flag are accepted and served like any other:
+  // two connections x 16 lockstep-flagged channels on the same config
+  // stream equal-length blocks, and every channel must see the exact
+  // push()-reference samples.
   service::Server server(test_options("lockstep"));
   server.start();
   constexpr std::size_t kConns = 2;
@@ -888,33 +886,18 @@ TEST_F(ServiceTest, LockstepCohortServesBitExactOverWire) {
         ASSERT_TRUE(clients[c]->send_data(ch, blocks[b]));
       }
     }
-    if (b == 1) {
-      // Channel 0 leaves the cohort mid-stream: preset 0 -> preset 0 is
-      // still a rebuild, so its group dissolves and replays scalar.
-      ASSERT_TRUE(clients[0]->reconfigure(0, 0));
-    }
   }
 
   testutil::PushChain ref(*service::preset_config(0));
-  std::vector<std::int64_t> expect_full;
-  std::vector<std::int64_t> expect_reconf;  // chain reset after block 1
-  for (std::size_t b = 0; b < kBlocks; ++b) {
-    const auto out = ref.process(blocks[b]);
-    expect_full.insert(expect_full.end(), out.begin(), out.end());
-    if (b <= 1) {
-      expect_reconf.insert(expect_reconf.end(), out.begin(), out.end());
-    }
-  }
-  testutil::PushChain ref2(*service::preset_config(0));
-  for (std::size_t b = 2; b < kBlocks; ++b) {
-    const auto out = ref2.process(blocks[b]);
-    expect_reconf.insert(expect_reconf.end(), out.begin(), out.end());
+  std::vector<std::int64_t> expect;
+  for (const auto& block : blocks) {
+    const auto out = ref.process(block);
+    expect.insert(expect.end(), out.begin(), out.end());
   }
 
   for (std::size_t c = 0; c < kConns; ++c) {
     for (std::size_t k = 0; k < kPerConn; ++k) {
       const auto ch = static_cast<std::uint32_t>(c * kPerConn + k);
-      const auto& expect = ch == 0 ? expect_reconf : expect_full;
       ASSERT_TRUE(clients[c]->wait_sample_count(ch, expect.size(), kWait))
           << "ch=" << ch;
       EXPECT_EQ(clients[c]->samples(ch), expect) << "ch=" << ch;

@@ -95,14 +95,13 @@ TEST(SimdDispatch, BankBitIdenticalAcrossTiers) {
     const auto want_fx = testutil::fx_snapshot();
     EXPECT_FALSE(want[0].empty());
 
-    std::vector<const std::int32_t*> rows;
-    for (const auto& lane : codes) rows.push_back(lane.data());
+    std::vector<std::vector<std::int64_t>> in;
+    for (const auto& lane : codes) in.emplace_back(lane.begin(), lane.end());
     for (Tier t : supported_tiers()) {
       ASSERT_TRUE(decim::simd::set_active_tier(t));
       obs::Registry::instance().reset_all();
       decim::ChainBank bank(cfg, lanes);
-      std::vector<std::vector<std::int64_t>> got(lanes);
-      bank.process_rows(rows, kFrames, got);
+      const auto got = testutil::run_bank(bank, in, kFrames);
       EXPECT_EQ(got, want) << decim::simd::tier_name(t) << ", " << lanes
                            << " lanes";
       EXPECT_EQ(testutil::fx_snapshot(), want_fx)
@@ -114,7 +113,7 @@ TEST(SimdDispatch, BankBitIdenticalAcrossTiers) {
 TEST(SimdDispatch, RuntimeBitIdenticalAcrossTiers) {
   TierGuard guard;
   const auto cfg = decim::paper_chain_config();
-  constexpr std::size_t kChannels = 40;  // one full group + one partial
+  constexpr std::size_t kChannels = 40;
   constexpr std::size_t kFrames = 512;
 
   std::vector<std::vector<std::int32_t>> codes(

@@ -17,11 +17,6 @@
 //   --preset P        chain config preset id           (default 0)
 //   --policy P        block | shed (with --serve)      (default block)
 //   --stimulus S      stimulus class name              (default modulator)
-//   --lockstep        open channels with the LOCKSTEP flag, wait for every
-//                     OPEN ack, then stream blocks barrier-paced across the
-//                     sender threads so the server's batch groups stay
-//                     runnable (exercises the SoA fast path)
-#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -58,7 +53,6 @@ struct Args {
   std::uint32_t preset = 0;
   std::string policy = "block";
   std::string stimulus = "modulator";
-  bool lockstep = false;
   std::string registry_out;  ///< dump the metrics registry JSON here
 };
 
@@ -67,7 +61,7 @@ void usage(const char* argv0) {
                "usage: %s [--serve | --unix PATH | --tcp HOST:PORT]\n"
                "  [--channels N] [--connections N] [--blocks N] [--frames N]\n"
                "  [--preset P] [--policy block|shed] [--stimulus NAME]\n"
-               "  [--lockstep] [--registry-out FILE]\n",
+               "  [--registry-out FILE]\n",
                argv0);
 }
 
@@ -107,8 +101,6 @@ bool parse_args(int argc, char** argv, Args* a) {
       const char* v = next(arg.c_str());
       if (!v) return false;
       a->conns = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--lockstep") {
-      a->lockstep = true;
     } else if (arg == "--blocks") {
       const char* v = next("--blocks");
       if (!v) return false;
@@ -222,25 +214,14 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
 
   std::vector<std::thread> senders;
-  std::barrier pace(static_cast<std::ptrdiff_t>(args.conns));
   for (std::size_t c = 0; c < args.conns; ++c) {
     senders.emplace_back([&, c] {
       auto& client = *clients[c];
       for (std::size_t k = 0; k < per_conn; ++k) {
         const auto ch = static_cast<std::uint32_t>(c * per_conn + k);
-        client.open(ch, args.preset, args.lockstep);
-      }
-      if (args.lockstep) {
-        // All OPENs acked before any DATA flows: the server's lockstep
-        // groups seal at full width only once the whole cohort is open.
-        for (std::size_t k = 0; k < per_conn; ++k) {
-          const auto ch = static_cast<std::uint32_t>(c * per_conn + k);
-          client.wait_ack_count(ch, 1, 30s);
-        }
-        pace.arrive_and_wait();
+        client.open(ch, args.preset);
       }
       for (std::size_t b = 0; b < args.blocks; ++b) {
-        if (args.lockstep) pace.arrive_and_wait();
         for (std::size_t k = 0; k < per_conn; ++k) {
           const auto ch = static_cast<std::uint32_t>(c * per_conn + k);
           client.send_data(ch, codes);
